@@ -1,11 +1,6 @@
 """Enumerate and count binary matrices up to cyclic row/column rotation."""
 
-from .canonical import (
-    CanonicalForm,
-    canonical_form,
-    is_canonical,
-    stream_canonical,
-)
+from .canonical import canonical_form, is_canonical, stream_canonical
 from .codec import (
     BinaryMatrix,
     MatrixShape,
@@ -13,55 +8,41 @@ from .codec import (
     decode,
     encode,
     rotate_cols,
-    rotate_cols_pow,
     rotate_rows,
-    rotate_rows_pow,
     xi,
 )
-from .counting import A179043, OrbitCount, count_bruteforce, count_burnside
+from .counting import A179043, OrbitCount, count_burnside
 from .errors import CapacityError, InternalError, RangeError
-from .sieve import NumberedSet, SieveResult, sieve
 from .torus import (
-    OrbitVisitPlan,
+    SieveResult,
     VisitedStore,
     code_at_index,
     enumerate_torus,
     iter_representative_indices,
-    orbit_visits,
-    representative_store,
     tuple_index,
 )
 
 __all__ = [
     "A179043",
     "BinaryMatrix",
-    "CanonicalForm",
     "CapacityError",
     "InternalError",
     "MatrixShape",
-    "NumberedSet",
     "OrbitCount",
-    "OrbitVisitPlan",
     "RangeError",
     "SieveResult",
     "TupleCode",
     "VisitedStore",
     "canonical_form",
     "code_at_index",
-    "count_bruteforce",
     "count_burnside",
     "decode",
     "encode",
     "enumerate_torus",
     "is_canonical",
     "iter_representative_indices",
-    "orbit_visits",
-    "representative_store",
     "rotate_cols",
-    "rotate_cols_pow",
     "rotate_rows",
-    "rotate_rows_pow",
-    "sieve",
     "stream_canonical",
     "tuple_index",
     "xi",

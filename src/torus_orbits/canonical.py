@@ -5,26 +5,12 @@ independently (and concatenated in range order) at the cost of checking
 every candidate against its m*n rotations.
 """
 
-from dataclasses import dataclass
-
-from .codec import TupleCode
 from .errors import RangeError
-from .torus import (
-    code_at_index,
-    tuple_index,
-    word_rotate_cols,
-    word_rotate_rows,
-)
-
-
-def _row_low_mask(m, n):
-    mask = 0
-    for k in range(m):
-        mask |= 1 << (n * k)
-    return mask
+from .torus import code_at_index, orbit_words, row_low_mask, tuple_index
 
 
 def _word_is_canonical(w, m, n, row_low):
+    # inlined orbit_words: via the generator, filter 4x5 took 1.67 s not 1.15
     col_shift = n - 1
     last_row = (1 << n) - 1
     row_shift = n * (m - 1)
@@ -45,38 +31,14 @@ def _word_is_canonical(w, m, n, row_low):
 def is_canonical(code):
     """True iff no rotation of the code is lexicographically smaller."""
     m, n = code.shape.m, code.shape.n
-    return _word_is_canonical(tuple_index(code), m, n, _row_low_mask(m, n))
+    return _word_is_canonical(tuple_index(code), m, n, row_low_mask(m, n))
 
 
 def canonical_form(code):
     """The lex-minimal code in the rotation orbit of the given code."""
     m, n = code.shape.m, code.shape.n
-    w = tuple_index(code)
-    best = w
-    wr = w
-    for _ in range(m):
-        x = wr
-        for _ in range(n):
-            x = word_rotate_cols(x, m, n)
-            if x < best:
-                best = x
-        wr = word_rotate_rows(wr, m, n)
+    best = min(orbit_words(tuple_index(code), m, n, row_low_mask(m, n)))
     return code_at_index(code.shape, best)
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """A code certified to be the representative of its orbit."""
-
-    code: TupleCode
-
-    def __post_init__(self):
-        if not is_canonical(self.code):
-            raise ValueError(f"{self.code.rows} is not its orbit minimum")
-
-    @classmethod
-    def of(cls, code):
-        return cls(canonical_form(code))
 
 
 def iter_canonical_indices(shape, start=0, stop=None):
@@ -87,7 +49,7 @@ def iter_canonical_indices(shape, start=0, stop=None):
     if not (0 <= start <= stop <= total):
         raise RangeError(f"interval [{start}, {stop}) outside [0, {total})")
     m, n = shape.m, shape.n
-    row_low = _row_low_mask(m, n)
+    row_low = row_low_mask(m, n)
     for w in range(start, stop):
         if _word_is_canonical(w, m, n, row_low):
             yield w

@@ -6,16 +6,20 @@ failure, 2 invalid arguments, 3 resource limit exceeded.
 
 import argparse
 import itertools
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 
 from .canonical import iter_canonical_indices
 from .codec import MatrixShape
 from .counting import A179043, count_burnside
 from .errors import CapacityError
 from .formats import FORMATS, write_stream
-from .sieve import DEFAULT_BUDGET_BITS
-from .torus import code_at_index, iter_representative_indices
+from .torus import (
+    DEFAULT_BUDGET_BITS,
+    code_at_index,
+    iter_representative_indices,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH_OR_IO = 1
@@ -82,6 +86,36 @@ def _representative_indices(shape, method, budget_bits):
     return iter_canonical_indices(shape)
 
 
+def _decimal(value):
+    """str(value) with Python's int-to-str digit limit lifted meanwhile."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit to lift
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@contextmanager
+def _replacing(path):
+    """Write to path + ".part"; move it onto path only if the block succeeds.
+
+    A failed run leaves no partial file and an existing path untouched.
+    """
+    part = path + ".part"
+    out = open(part, "w")
+    try:
+        with out:
+            yield out
+        os.replace(part, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(part)
+        raise
+
+
 def cmd_count(args):
     shape = MatrixShape(args.m, args.n)
     if args.method == "burnside":
@@ -89,7 +123,7 @@ def cmd_count(args):
     else:
         value = sum(1 for _ in _representative_indices(
             shape, args.method, args.memory_budget_bits))
-    print(value)
+    print(_decimal(value))
     return EXIT_OK
 
 
@@ -98,7 +132,7 @@ def cmd_enumerate(args):
     indices = _representative_indices(shape, args.method,
                                       args.memory_budget_bits)
     codes = (code_at_index(shape, w) for w in indices)
-    sink = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+    sink = _replacing(args.out) if args.out else nullcontext(sys.stdout)
     with sink as out:
         if args.limit is None:
             emitted = write_stream(codes, args.fmt, out)

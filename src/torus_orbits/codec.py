@@ -133,23 +133,3 @@ def rotate_cols(code):
     n = code.shape.n
     return TupleCode(tuple(xi(p, n) for p in code.rows), code.shape)
 
-
-def rotate_rows_pow(code, k):
-    """k-fold row rotation; exponent reduced mod m (order of the operator)."""
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    k %= code.shape.m
-    if k == 0:
-        return code
-    rows = code.rows
-    return TupleCode(rows[-k:] + rows[:-k], code.shape)
-
-
-def rotate_cols_pow(code, k):
-    """k-fold column rotation; exponent reduced mod n."""
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    k %= code.shape.n
-    for _ in range(k):
-        code = rotate_cols(code)
-    return code

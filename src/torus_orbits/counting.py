@@ -1,16 +1,14 @@
 """Exact class counts for the torus rotation action.
 
-Two independent routes: an analytic orbit count over the translation
-group of the m x n torus (exact big integers, any shape), and an
-exhaustive orbit partition used as the ground-truth oracle on small
-shapes. The diagonal values match OEIS A179043.
+An analytic orbit count over the translation group of the m x n torus
+(exact big integers, any shape). The diagonal values match OEIS
+A179043.
 """
 
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .codec import xi
-from .errors import CapacityError, InternalError
+from .errors import InternalError
 
 # |classes| for shape (k, k), k = 1..12 (OEIS A179043)
 A179043 = (
@@ -27,8 +25,6 @@ A179043 = (
     21970710674130840874443091905462272,
     154866286100907105149651981766316633972736,
 )
-
-_BRUTEFORCE_MAX_CELLS = 20
 
 
 @dataclass(frozen=True)
@@ -61,32 +57,3 @@ def count_burnside(shape):
         )
     return OrbitCount(total // (m * n), m, n)
 
-
-def count_bruteforce(shape):
-    """Exhaustive orbit partition of all 2^(m*n) codes; test oracle only.
-
-    Works on plain row tuples with the tuple-level rotations, fully
-    independent of the sieve's word arithmetic.
-    """
-    m, n = shape.m, shape.n
-    if m * n > _BRUTEFORCE_MAX_CELLS:
-        raise CapacityError(
-            f"brute force is guarded at {_BRUTEFORCE_MAX_CELLS} cells"
-        )
-    top = (1 << n) - 1
-    seen = set()
-    count = 0
-    for w in range(1 << (m * n)):
-        rows = tuple((w >> (n * (m - 1 - i))) & top for i in range(m))
-        if rows in seen:
-            continue
-        count += 1
-        seen.add(rows)
-        stack = [rows]
-        while stack:
-            t = stack.pop()
-            for u in (t[-1:] + t[:-1], tuple(xi(p, n) for p in t)):
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-    return OrbitCount(count, m, n)

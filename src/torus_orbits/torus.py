@@ -10,13 +10,18 @@ n-bit field independently.
 
 from dataclasses import dataclass
 
-from .codec import TupleCode, rotate_cols_pow, rotate_rows_pow
+from .codec import TupleCode
 from .errors import CapacityError
-from .sieve import DEFAULT_BUDGET_BITS, SieveResult
 
-DEFAULT_CHUNK_BITS = 1 << 26  # 8 MiB per allocation chunk
+DEFAULT_BUDGET_BITS = 1 << 33  # 1 GiB of marking bits
 
 _MAX_INDEX_BITS = 63
+
+
+@dataclass(frozen=True)
+class SieveResult:
+    representatives: tuple
+    class_count: int
 
 
 def tuple_index(code):
@@ -51,53 +56,38 @@ def code_at_index(shape, idx):
     return TupleCode(rows, shape)
 
 
-def word_rotate_rows(w, m, n):
-    """Row rotation on the linearized word: n-bit right rotation."""
-    return ((w & ((1 << n) - 1)) << (n * (m - 1))) | (w >> n)
-
-
-def word_rotate_cols(w, m, n):
-    """Column rotation on the linearized word: rotate each n-bit field."""
-    low = 0
+def row_low_mask(m, n):
+    """The lowest bit of each n-bit row field of an m*n-bit word."""
+    mask = 0
     for k in range(m):
-        low |= 1 << (n * k)
-    low &= w
-    return ((w ^ low) >> 1) | (low << (n - 1))
+        mask |= 1 << (n * k)
+    return mask
 
 
-@dataclass(frozen=True)
-class OrbitVisitPlan:
-    """The m*n rotated codes the sieve marks for one representative."""
+def orbit_words(w, m, n, row_low):
+    """Yield col^j(row^i(w)) for i in [0, m), j in [1, n].
 
-    base: TupleCode
-    visits: tuple
-
-    def distinct(self):
-        return {v.rows for v in self.visits}
-
-
-def orbit_visits(base):
-    """All codes col^j(row^i(base)), i in [0, m), j in [0, n).
-
-    Each rotation power is computed fresh from the base, so the visit
-    set provably equals the full rotation orbit of the base code.
+    row_low is row_low_mask(m, n). The j = n word is row^i(w) itself,
+    so the m*n words cover the whole rotation orbit of w, each orbit
+    member equally often.
     """
-    shape = base.shape
-    visits = []
-    for i in range(shape.m):
-        ri = rotate_rows_pow(base, i)
-        for j in range(shape.n):
-            visits.append(rotate_cols_pow(ri, j))
-    return OrbitVisitPlan(base, tuple(visits))
+    col_shift = n - 1
+    last_row = (1 << n) - 1
+    row_shift = n * (m - 1)
+    wr = w
+    for _ in range(m):
+        x = wr
+        for _ in range(n):
+            low = x & row_low
+            x = ((x ^ low) >> 1) | (low << col_shift)
+            yield x
+        wr = ((wr & last_row) << row_shift) | (wr >> n)
 
 
 class VisitedStore:
-    """One bit per code of the ground set, allocated in fixed-size chunks."""
+    """One bit per code of the ground set, in one flat bytearray."""
 
-    def __init__(self, shape, chunk_size=DEFAULT_CHUNK_BITS,
-                 memory_budget_bits=DEFAULT_BUDGET_BITS):
-        if chunk_size < 8 or chunk_size & (chunk_size - 1):
-            raise ValueError("chunk_size must be a power of two >= 8")
+    def __init__(self, shape, memory_budget_bits=DEFAULT_BUDGET_BITS):
         if not shape.fits_word_index():
             raise CapacityError(
                 f"shape ({shape.m}, {shape.n}) exceeds "
@@ -109,108 +99,49 @@ class VisitedStore:
                 f"2^{shape.cells} visited bits exceed the "
                 f"{memory_budget_bits}-bit budget"
             )
-        self.shape = shape
-        self.chunk_size = chunk_size
-        self.bit_capacity = total
-        per_chunk = min(total, chunk_size)
-        self.chunks = [
-            bytearray((per_chunk + 7) >> 3)
-            for _ in range((total + chunk_size - 1) // chunk_size)
-        ]
+        self.bits = bytearray((total + 7) >> 3)
         if total & 7:
             # spare bits of the last byte must never read as unvisited
-            self.chunks[-1][-1] |= 0xFF & ~((1 << (total & 7)) - 1)
+            self.bits[-1] |= 0xFF & ~((1 << (total & 7)) - 1)
 
     @property
     def nbytes(self):
-        return sum(len(c) for c in self.chunks)
-
-    def _locate(self, idx):
-        if idx < 0 or idx >= self.bit_capacity:
-            raise ValueError(f"index {idx} out of range")
-        shift = self.chunk_size.bit_length() - 1
-        return self.chunks[idx >> shift], idx & (self.chunk_size - 1)
-
-    def test(self, idx):
-        chunk, off = self._locate(idx)
-        return bool((chunk[off >> 3] >> (off & 7)) & 1)
-
-    def set(self, idx):
-        chunk, off = self._locate(idx)
-        chunk[off >> 3] |= 1 << (off & 7)
+        return len(self.bits)
 
 
-def iter_representative_indices(shape, memory_budget_bits=DEFAULT_BUDGET_BITS,
-                                chunk_size=DEFAULT_CHUNK_BITS,
-                                representative_store=None):
+def iter_representative_indices(shape, memory_budget_bits=DEFAULT_BUDGET_BITS):
     """Yield the linearized index of each class minimum, ascending.
 
     A forward-moving cursor scans the visited store for the next zero
     bit (selected minima are nondecreasing, so it never rescans); each
-    selection marks its full rotation orbit. If representative_store is
-    given, its bit is additionally set at every yielded index, leaving a
-    membership bitset of the representatives.
+    selection marks its full rotation orbit.
     """
     m, n = shape.m, shape.n
-    store = VisitedStore(shape, chunk_size, memory_budget_bits)
-    chunks = store.chunks
-    chunk_shift = chunk_size.bit_length() - 1
-    byte_mask = (chunk_size >> 3) - 1 if len(chunks) > 1 else ~0
-
-    row_low = 0
-    for k in range(m):
-        row_low |= 1 << (n * k)
-    col_shift = n - 1
-    last_row_mask = (1 << n) - 1
-    row_shift = n * (m - 1)
+    visited = VisitedStore(shape, memory_budget_bits).bits
+    row_low = row_low_mask(m, n)
     bit = (1, 2, 4, 8, 16, 32, 64, 128)
 
-    for ci, arr in enumerate(chunks):
-        base = ci << chunk_shift
-        cursor = 0
-        nbytes = len(arr)
-        while cursor < nbytes:
-            b = arr[cursor]
-            if b == 0xFF:
-                cursor += 1
-                continue
-            z = 0
-            while b & 1:
-                b >>= 1
-                z += 1
-            w = base | (cursor << 3) | z
-            if representative_store is not None:
-                representative_store.set(w)
-            yield w
-            # mark col^j(row^i(w)) for i in [0, m), j in [1, n]; the
-            # j = n pass returns to row^i(w), so the orbit is covered.
-            wr = w
-            for _ in range(m):
-                x = wr
-                for _ in range(n):
-                    low = x & row_low
-                    x = ((x ^ low) >> 1) | (low << col_shift)
-                    chunks[x >> chunk_shift][(x >> 3) & byte_mask] |= bit[x & 7]
-                wr = ((wr & last_row_mask) << row_shift) | (wr >> n)
+    cursor = 0
+    nbytes = len(visited)
+    while cursor < nbytes:
+        b = visited[cursor]
+        if b == 0xFF:
+            cursor += 1
+            continue
+        z = 0
+        while b & 1:
+            b >>= 1
+            z += 1
+        w = (cursor << 3) | z
+        yield w
+        for x in orbit_words(w, m, n, row_low):
+            visited[x >> 3] |= bit[x & 7]
 
 
-def enumerate_torus(shape, memory_budget_bits=DEFAULT_BUDGET_BITS,
-                    chunk_size=DEFAULT_CHUNK_BITS):
+def enumerate_torus(shape, memory_budget_bits=DEFAULT_BUDGET_BITS):
     """All class representatives as codes, ascending, with their count."""
     reps = tuple(
         code_at_index(shape, w)
-        for w in iter_representative_indices(shape, memory_budget_bits,
-                                             chunk_size)
+        for w in iter_representative_indices(shape, memory_budget_bits)
     )
     return SieveResult(reps, len(reps))
-
-
-def representative_store(shape, memory_budget_bits=DEFAULT_BUDGET_BITS,
-                         chunk_size=DEFAULT_CHUNK_BITS):
-    """Membership bitset over the ground set: bit set iff representative."""
-    members = VisitedStore(shape, chunk_size, memory_budget_bits)
-    for _ in iter_representative_indices(shape, memory_budget_bits,
-                                         chunk_size,
-                                         representative_store=members):
-        pass
-    return members

@@ -75,19 +75,3 @@ def necklace_count(n):
             seen.add(s[k:] + s[:k])
     return count
 
-
-def connected_components(size, pairs):
-    """Union-find over {0, ..., size-1} with the given edges."""
-    parent = list(range(size))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(a) for a in range(size)})

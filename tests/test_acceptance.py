@@ -15,7 +15,6 @@ from torus_orbits import (
     MatrixShape,
     TupleCode,
     VisitedStore,
-    count_bruteforce,
     count_burnside,
     decode,
     encode,
@@ -153,7 +152,7 @@ def test_criterion_6_analytic_count_validation():
         for m, n in shapes_with_cells_up_to(16):
             shape = MatrixShape(m, n)
             assert count_burnside(shape).value == \
-                count_bruteforce(shape).value, (m, n)
+                oracles.orbit_partition_count(m, n), (m, n)
         # divisibility of the fixed-point sum is asserted internally
         for m in range(1, 65):
             for n in range(1, 65):

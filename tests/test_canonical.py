@@ -3,7 +3,6 @@ import random
 import pytest
 
 from torus_orbits import (
-    CanonicalForm,
     MatrixShape,
     RangeError,
     TupleCode,
@@ -41,14 +40,6 @@ def test_canonical_form_is_orbit_minimum():
         best = canonical_form(TupleCode(rows, shape))
         assert best.rows == min(oracles.rows_orbit(rows, 4))
         assert is_canonical(best)
-
-
-def test_canonical_form_wrapper():
-    code = TupleCode((2, 0), MatrixShape(2, 2))
-    wrapped = CanonicalForm.of(code)
-    assert wrapped.code.rows == (0, 1)
-    with pytest.raises(ValueError):
-        CanonicalForm(code)
 
 
 class TestStream:

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from torus_orbits import cli
+from torus_orbits import MatrixShape, cli, count_burnside
 
 
 def run(capsys, *argv):
@@ -35,6 +36,20 @@ class TestCount:
                            "--method", "burnside")
         assert code == 0
         assert out.strip() == "288230376353050816"
+
+    def test_count_beyond_str_digit_limit(self, capsys):
+        # 6770 digits, above Python's default 4300-digit str() limit
+        value = count_burnside(MatrixShape(150, 150)).value
+        code, out, _ = run(capsys, "count", "150", "150")
+        assert code == 0
+        with pytest.raises(ValueError):
+            str(value)  # the CLI lifts the limit only while it prints
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == f"{value}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_sieve_capacity(self, capsys):
         code, _, err = run(capsys, "count", "8", "8", "--method", "sieve")
@@ -91,12 +106,24 @@ class TestEnumerate:
         assert out == ""
         assert "classes=7" in err
         assert path.read_text().count("\n\n") == 6
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_out_io_failure(self, capsys, tmp_path):
         code, _, err = run(capsys, "enumerate", "2", "2",
                            "--out", str(tmp_path / "no" / "such" / "dir"))
         assert code == 1
         assert "I/O error" in err
+
+    def test_failed_out_leaves_no_file(self, capsys, tmp_path):
+        path = tmp_path / "reps.txt"
+        code, _, _ = run(capsys, "enumerate", "8", "8", "--out", str(path))
+        assert code == 3
+        assert sorted(tmp_path.iterdir()) == []
+        path.write_bytes(b"kept")
+        code, _, _ = run(capsys, "enumerate", "8", "8", "--out", str(path))
+        assert code == 3
+        assert path.read_bytes() == b"kept"
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_capacity_exit(self, capsys):
         code, _, err = run(capsys, "enumerate", "8", "8",

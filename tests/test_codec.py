@@ -11,9 +11,7 @@ from torus_orbits import (
     decode,
     encode,
     rotate_cols,
-    rotate_cols_pow,
     rotate_rows,
-    rotate_rows_pow,
     xi,
 )
 
@@ -155,37 +153,6 @@ class TestRotations:
             for _ in range(n):
                 c = rotate_cols(c)
             assert c == code
-
-    def test_pow_identity_at_zero(self):
-        code = TupleCode((5, 1), MatrixShape(2, 3))
-        assert rotate_rows_pow(code, 0) == code
-        assert rotate_cols_pow(code, 0) == code
-
-    def test_pow_full_cycle(self):
-        code = TupleCode((5, 1, 6), MatrixShape(3, 3))
-        assert rotate_rows_pow(code, 3) == code
-        assert rotate_cols_pow(code, 3) == code
-
-    def test_pow_matches_iteration(self):
-        rng = random.Random(11)
-        shape = MatrixShape(3, 4)
-        for _ in range(50):
-            code = random_code(rng, shape)
-            k = rng.randint(0, 10)
-            r = code
-            c = code
-            for _ in range(k):
-                r = rotate_rows(r)
-                c = rotate_cols(c)
-            assert rotate_rows_pow(code, k) == r
-            assert rotate_cols_pow(code, k) == c
-
-    def test_pow_rejects_negative(self):
-        code = TupleCode((1,), MatrixShape(1, 2))
-        with pytest.raises(ValueError):
-            rotate_rows_pow(code, -1)
-        with pytest.raises(ValueError):
-            rotate_cols_pow(code, -2)
 
     def test_commutation_exhaustive_2x3(self):
         for code in all_codes(2, 3):

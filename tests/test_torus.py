@@ -1,21 +1,21 @@
 import itertools
-import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torus_orbits import (
     CapacityError,
     MatrixShape,
     TupleCode,
     VisitedStore,
+    canonical_form,
     code_at_index,
     count_burnside,
     enumerate_torus,
     iter_representative_indices,
-    orbit_visits,
-    representative_store,
     tuple_index,
 )
+from torus_orbits.torus import orbit_words, row_low_mask
 
 import oracles
 
@@ -53,60 +53,55 @@ class TestTupleIndex:
             code_at_index(shape, 1 << 12)
 
 
+def visited_rows(rows, m, n):
+    """The row tuples of orbit_words on a code, for any shape."""
+    w = 0
+    for p in rows:
+        w = (w << n) | p
+    top = (1 << n) - 1
+    return [tuple((x >> (n * (m - 1 - i))) & top for i in range(m))
+            for x in orbit_words(w, m, n, row_low_mask(m, n))]
+
+
+@st.composite
+def shaped_rows(draw):
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
+    row = st.integers(0, (1 << n) - 1)
+    return m, n, tuple(draw(st.lists(row, min_size=m, max_size=m)))
+
+
 class TestOrbitVisits:
     def test_zero_code_fixed_point(self):
-        plan = orbit_visits(TupleCode((0, 0, 0), MatrixShape(3, 2)))
-        assert len(plan.visits) == 6
-        assert plan.distinct() == {(0, 0, 0)}
+        assert visited_rows((0, 0, 0), 3, 2) == [(0, 0, 0)] * 6
 
     def test_2x2_four_element_orbit(self):
-        plan = orbit_visits(TupleCode((1, 0), MatrixShape(2, 2)))
-        assert plan.distinct() == {(1, 0), (2, 0), (0, 1), (0, 2)}
+        assert set(visited_rows((1, 0), 2, 2)) == \
+            {(1, 0), (2, 0), (0, 1), (0, 2)}
 
     def test_2x2_singleton_orbit(self):
         # equal rows, and 3 = 11b is fixed by the bit rotation at n = 2
-        plan = orbit_visits(TupleCode((3, 3), MatrixShape(2, 2)))
-        assert plan.distinct() == {(3, 3)}
+        assert set(visited_rows((3, 3), 2, 2)) == {(3, 3)}
 
-    def test_matches_grid_closure(self):
-        rng = random.Random(5)
-        shape = MatrixShape(3, 3)
-        for _ in range(30):
-            rows = tuple(rng.randint(0, 7) for _ in range(3))
-            plan = orbit_visits(TupleCode(rows, shape))
-            assert plan.distinct() == oracles.rows_orbit(rows, 3)
+    @settings(max_examples=200, deadline=None)
+    @example((7, 9, (1, 0, 0, 0, 0, 0, 0)))  # 63 cells, the word limit
+    @example((8, 8, (1, 2, 3, 4, 5, 6, 7, 8)))  # 64 cells
+    @given(shaped_rows())
+    def test_matches_grid_closure(self, case):
+        m, n, rows = case
+        visits = visited_rows(rows, m, n)
+        orbit = oracles.rows_orbit(rows, n)
+        assert len(visits) == m * n
+        assert set(visits) == orbit
+        if m * n <= 63:
+            code = TupleCode(rows, MatrixShape(m, n))
+            assert canonical_form(code).rows == min(orbit)
 
 
 class TestVisitedStore:
-    def test_set_and_test(self):
-        store = VisitedStore(MatrixShape(2, 3))
-        assert not store.test(41)
-        store.set(41)
-        assert store.test(41)
-        assert not store.test(40)
-
-    def test_bounds(self):
-        store = VisitedStore(MatrixShape(2, 2))
-        with pytest.raises(ValueError):
-            store.test(16)
-        with pytest.raises(ValueError):
-            store.set(-1)
-
-    def test_chunking(self):
-        store = VisitedStore(MatrixShape(2, 5), chunk_size=256)
-        assert len(store.chunks) == 4
-        for idx in (0, 255, 256, 700, 1023):
-            store.set(idx)
-            assert store.test(idx)
-        assert not store.test(701)
-
     def test_budget(self):
         with pytest.raises(CapacityError):
             VisitedStore(MatrixShape(4, 4), memory_budget_bits=1 << 10)
-
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            VisitedStore(MatrixShape(2, 2), chunk_size=100)
 
 
 class TestEnumerateTorus:
@@ -120,11 +115,6 @@ class TestEnumerateTorus:
 
     def test_2x3(self):
         assert enumerate_torus(MatrixShape(2, 3)).class_count == 14
-
-    def test_small_chunks_match_default(self):
-        shape = MatrixShape(2, 4)
-        small = enumerate_torus(shape, chunk_size=64)
-        assert small == enumerate_torus(shape)
 
     def test_budget_error(self):
         with pytest.raises(CapacityError):
@@ -153,14 +143,6 @@ class TestEnumerateTorus:
         reps = enumerate_torus(shape).representatives
         total = sum(len(oracles.rows_orbit(r.rows, 3)) for r in reps)
         assert total == 1 << 9
-
-
-def test_representative_store_membership():
-    shape = MatrixShape(2, 3)
-    members = representative_store(shape)
-    reps = {tuple_index(c) for c in enumerate_torus(shape).representatives}
-    for idx in range(1 << 6):
-        assert members.test(idx) == (idx in reps)
 
 
 def test_iter_indices_ascending():
