@@ -17,6 +17,7 @@ from .errors import CapacityError
 from .formats import FORMATS, write_stream
 from .torus import (
     DEFAULT_BUDGET_BITS,
+    check_exhaustive,
     code_at_index,
     iter_representative_indices,
 )
@@ -27,7 +28,6 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 _CHECK_MAX_CELLS = 20
-_CHECK_SEQUENCE_MAX_CELLS = 16
 
 
 def _positive_int(text):
@@ -50,7 +50,7 @@ def _build_parser():
         p.add_argument("n", type=_positive_int, help="column count")
         p.add_argument("--memory-budget-bits", type=_positive_int,
                        default=DEFAULT_BUDGET_BITS,
-                       help="visited-store budget for the sieve method")
+                       help="codes an exhaustive sieve/filter scan may walk")
 
     p_count = sub.add_parser("count", help="print the exact class count")
     add_shape_args(p_count)
@@ -80,9 +80,11 @@ def _build_parser():
     return parser
 
 
-def _representative_indices(shape, method, budget_bits):
+def _representative_indices(shape, method, budget_bits, limit=None):
     if method == "sieve":
         return iter_representative_indices(shape, budget_bits)
+    if limit is None:  # --limit bounds the filter's work
+        check_exhaustive(shape, budget_bits)
     return iter_canonical_indices(shape)
 
 
@@ -130,7 +132,7 @@ def cmd_count(args):
 def cmd_enumerate(args):
     shape = MatrixShape(args.m, args.n)
     indices = _representative_indices(shape, args.method,
-                                      args.memory_budget_bits)
+                                      args.memory_budget_bits, args.limit)
     codes = (code_at_index(shape, w) for w in indices)
     sink = _replacing(args.out) if args.out else nullcontext(sys.stdout)
     with sink as out:
@@ -154,25 +156,25 @@ def cmd_check(args):
             f"{_CHECK_MAX_CELLS} cells"
         )
     counts = {"burnside": count_burnside(shape).value}
-    sieve_indices = list(iter_representative_indices(
-        shape, args.memory_budget_bits))
-    filter_indices = list(iter_canonical_indices(shape))
+    budget = args.memory_budget_bits
+    sieve_indices = list(_representative_indices(shape, "sieve", budget))
+    filter_indices = list(_representative_indices(shape, "filter", budget))
     counts["sieve"] = len(sieve_indices)
     counts["filter"] = len(filter_indices)
 
     ok = len(set(counts.values())) == 1
     for method, value in counts.items():
         print(f"{method}: {value}")
-    if shape.cells <= _CHECK_SEQUENCE_MAX_CELLS:
-        if sieve_indices == filter_indices:
-            print("representative sequences: identical")
-        else:
-            ok = False
-            extra = sorted(set(sieve_indices) ^ set(filter_indices))
-            print("representative sequences: MISMATCH")
-            for w in extra[:20]:
-                side = "sieve" if w in set(sieve_indices) else "filter"
-                print(f"  only in {side}: {code_at_index(shape, w).rows}")
+    if sieve_indices == filter_indices:
+        print("representative sequences: identical")
+    else:
+        ok = False
+        in_sieve = set(sieve_indices)
+        extra = sorted(in_sieve.symmetric_difference(filter_indices))
+        print("representative sequences: MISMATCH")
+        for w in extra[:20]:
+            side = "sieve" if w in in_sieve else "filter"
+            print(f"  only in {side}: {code_at_index(shape, w).rows}")
     if not ok:
         print("MISMATCH", file=sys.stderr)
         return EXIT_MISMATCH_OR_IO
@@ -211,7 +213,9 @@ def main(argv=None):
         return handler(args)
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}\n"
-              f"hint: `--method burnside` counts any shape analytically",
+              f"hint: `count --method burnside` counts any shape; "
+              f"`enumerate --method filter --limit K` lists the first K "
+              f"classes of any shape",
               file=sys.stderr)
         return EXIT_CAPACITY
     except BrokenPipeError:

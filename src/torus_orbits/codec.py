@@ -29,14 +29,6 @@ class MatrixShape:
     def cells(self):
         return self.m * self.n
 
-    def fits_word_index(self):
-        """Whether the full ground set linearizes into a 63-bit index.
-
-        Codec operations work for any shape; sieve-based modules reject
-        shapes where this is False.
-        """
-        return self.cells <= 63
-
 
 @total_ordering
 @dataclass(frozen=True)

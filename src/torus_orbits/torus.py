@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from .codec import TupleCode
 from .errors import CapacityError
 
-DEFAULT_BUDGET_BITS = 1 << 33  # 1 GiB of marking bits
-
-_MAX_INDEX_BITS = 63
+DEFAULT_BUDGET_BITS = 1 << 33  # codes per full scan: 1 GiB of sieve marks
 
 
 @dataclass(frozen=True)
@@ -31,10 +29,6 @@ def tuple_index(code):
     indices in ascending order scans codes in ascending order.
     """
     shape = code.shape
-    if not shape.fits_word_index():
-        raise CapacityError(
-            f"shape ({shape.m}, {shape.n}) exceeds {_MAX_INDEX_BITS} index bits"
-        )
     idx = 0
     for p in code.rows:
         idx = (idx << shape.n) | p
@@ -43,10 +37,6 @@ def tuple_index(code):
 
 def code_at_index(shape, idx):
     """Inverse of tuple_index."""
-    if not shape.fits_word_index():
-        raise CapacityError(
-            f"shape ({shape.m}, {shape.n}) exceeds {_MAX_INDEX_BITS} index bits"
-        )
     if idx < 0 or idx >> shape.cells:
         raise ValueError(f"index {idx} outside [0, 2^{shape.cells})")
     n, top = shape.n, (1 << shape.n) - 1
@@ -84,22 +74,32 @@ def orbit_words(w, m, n, row_low):
         wr = ((wr & last_row) << row_shift) | (wr >> n)
 
 
+def check_exhaustive(shape, memory_budget_bits):
+    """Refuse a scan of the whole ground set beyond memory_budget_bits codes.
+
+    Both exhaustive routes walk all 2^(m*n) codes: the sieve keeps one
+    visited bit per code, the filter tests each code in turn.
+    """
+    # 2^cells > budget, without building 2^cells for a huge shape
+    if shape.cells >= memory_budget_bits.bit_length():
+        raise CapacityError(
+            f"2^{shape.cells} codes exceed the "
+            f"{memory_budget_bits}-code budget of an exhaustive scan"
+        )
+
+
 class VisitedStore:
     """One bit per code of the ground set, in one flat bytearray."""
 
     def __init__(self, shape, memory_budget_bits=DEFAULT_BUDGET_BITS):
-        if not shape.fits_word_index():
-            raise CapacityError(
-                f"shape ({shape.m}, {shape.n}) exceeds "
-                f"{_MAX_INDEX_BITS} index bits; use the analytic counter"
-            )
+        check_exhaustive(shape, memory_budget_bits)
         total = 1 << shape.cells
-        if total > memory_budget_bits:
+        try:
+            self.bits = bytearray((total + 7) >> 3)
+        except (MemoryError, OverflowError):
             raise CapacityError(
-                f"2^{shape.cells} visited bits exceed the "
-                f"{memory_budget_bits}-bit budget"
-            )
-        self.bits = bytearray((total + 7) >> 3)
+                f"cannot allocate the 2^{shape.cells}-bit visited store"
+            ) from None
         if total & 7:
             # spare bits of the last byte must never read as unvisited
             self.bits[-1] |= 0xFF & ~((1 << (total & 7)) - 1)

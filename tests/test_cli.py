@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 
 import pytest
@@ -55,6 +56,26 @@ class TestCount:
         code, _, err = run(capsys, "count", "8", "8", "--method", "sieve")
         assert code == 3
         assert "--method burnside" in err
+
+    @pytest.mark.parametrize("m,n,budget", [
+        ("7", "9", str(1 << 63)),  # 2^60 bytes: beyond any address space
+        ("9", "9", str(1 << 81)),  # beyond a bytearray's index range
+    ])
+    def test_store_allocation_failure(self, capsys, m, n, budget):
+        code, _, err = run(capsys, "count", m, n, "--method", "sieve",
+                           "--memory-budget-bits", budget)
+        assert code == 3
+        assert "--method burnside" in err
+
+    @pytest.mark.parametrize("m,n", [("9", "9"), ("6", "6")])
+    def test_filter_capacity(self, m, n):
+        # a subprocess with a timeout, so an unbounded scan fails the test
+        proc = subprocess.run(
+            [sys.executable, "-m", "torus_orbits.cli", "count", m, n,
+             "--method", "filter"],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 3
+        assert "--method burnside" in proc.stderr
 
 
 class TestEnumerate:
@@ -129,12 +150,23 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "8", "8",
                            "--method", "sieve")
         assert code == 3
-        assert "--method burnside" in err
+        assert "`count --method burnside`" in err
+        assert "`enumerate --method filter --limit K`" in err
+
+    def test_filter_limit_on_any_shape(self, capsys):
+        code, out, err = run(capsys, "enumerate", "8", "8", "--method",
+                             "filter", "--limit", "3", "--format", "jsonl")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["tuple"] for r in records] == \
+            [[0] * 8, [0] * 7 + [1], [0] * 7 + [3]]
+        assert "emitted=3" in err
 
 
 class TestCheck:
     @pytest.mark.parametrize("m,n,count", [
         ("2", "2", "7"), ("3", "3", "64"), ("1", "4", "6"),
+        ("1", "17", "7712"),
     ])
     def test_agreement(self, capsys, m, n, count):
         code, out, _ = run(capsys, "check", m, n)

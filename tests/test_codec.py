@@ -37,10 +37,6 @@ class TestShape:
         with pytest.raises(ValueError):
             MatrixShape(2, -1)
 
-    def test_word_index_classification(self):
-        assert MatrixShape(7, 9).fits_word_index()
-        assert not MatrixShape(8, 8).fits_word_index()
-
 
 class TestEncodeDecode:
     def test_encode_2x3(self):
