@@ -27,8 +27,6 @@ EXIT_MISMATCH_OR_IO = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
-_CHECK_MAX_CELLS = 20
-
 
 def _positive_int(text):
     value = int(text)
@@ -48,9 +46,6 @@ def _build_parser():
     def add_shape_args(p):
         p.add_argument("m", type=_positive_int, help="row count")
         p.add_argument("n", type=_positive_int, help="column count")
-        p.add_argument("--memory-budget-bits", type=_positive_int,
-                       default=DEFAULT_BUDGET_BITS,
-                       help="codes an exhaustive sieve/filter scan may walk")
 
     p_count = sub.add_parser("count", help="print the exact class count")
     add_shape_args(p_count)
@@ -68,6 +63,11 @@ def _build_parser():
                         help="output path (default: standard output)")
     p_enum.add_argument("--limit", type=_positive_int, default=None,
                         help="emit at most this many representatives")
+
+    for p in (p_count, p_enum):
+        p.add_argument("--memory-budget-bits", type=_positive_int,
+                       default=DEFAULT_BUDGET_BITS,
+                       help="codes an exhaustive sieve/filter scan may walk")
 
     p_check = sub.add_parser("check",
                              help="cross-verify all counting methods")
@@ -150,13 +150,11 @@ def cmd_enumerate(args):
 
 def cmd_check(args):
     shape = MatrixShape(args.m, args.n)
-    if shape.cells > _CHECK_MAX_CELLS:
-        raise CapacityError(
-            f"check enumerates exhaustively and is guarded at "
-            f"{_CHECK_MAX_CELLS} cells"
-        )
+    # both exhaustive routes run, so at most 20 cells; guarded before
+    # Burnside, which a huge shape would fail without the hint
+    budget = 1 << 20
+    check_exhaustive(shape, budget)
     counts = {"burnside": count_burnside(shape).value}
-    budget = args.memory_budget_bits
     sieve_indices = list(_representative_indices(shape, "sieve", budget))
     filter_indices = list(_representative_indices(shape, "filter", budget))
     counts["sieve"] = len(sieve_indices)
@@ -216,6 +214,12 @@ def main(argv=None):
               f"hint: `count --method burnside` counts any shape; "
               f"`enumerate --method filter --limit K` lists the first K "
               f"classes of any shape",
+              file=sys.stderr)
+        return EXIT_CAPACITY
+    except (MemoryError, OverflowError) as exc:
+        # an integer the host cannot hold; Burnside fails too, so no hint
+        detail = f": {exc}" if str(exc) else ""
+        print(f"capacity exceeded: {type(exc).__name__}{detail}",
               file=sys.stderr)
         return EXIT_CAPACITY
     except BrokenPipeError:

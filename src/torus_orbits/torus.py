@@ -8,18 +8,10 @@ rotation of the m*n-bit word, and a column rotation right-rotates each
 n-bit field independently.
 """
 
-from dataclasses import dataclass
-
 from .codec import TupleCode
 from .errors import CapacityError
 
 DEFAULT_BUDGET_BITS = 1 << 33  # codes per full scan: 1 GiB of sieve marks
-
-
-@dataclass(frozen=True)
-class SieveResult:
-    representatives: tuple
-    class_count: int
 
 
 def tuple_index(code):
@@ -139,9 +131,8 @@ def iter_representative_indices(shape, memory_budget_bits=DEFAULT_BUDGET_BITS):
 
 
 def enumerate_torus(shape, memory_budget_bits=DEFAULT_BUDGET_BITS):
-    """All class representatives as codes, ascending, with their count."""
-    reps = tuple(
+    """All class representatives as a tuple of codes, ascending."""
+    return tuple(
         code_at_index(shape, w)
         for w in iter_representative_indices(shape, memory_budget_bits)
     )
-    return SieveResult(reps, len(reps))

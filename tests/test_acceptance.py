@@ -9,20 +9,20 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
 from torus_orbits import (
     MatrixShape,
     TupleCode,
     VisitedStore,
+    code_at_index,
     count_burnside,
-    decode,
-    encode,
     iter_representative_indices,
-    rotate_cols,
-    rotate_rows,
+    tuple_index,
 )
 from torus_orbits.canonical import iter_canonical_indices
+from torus_orbits.torus import orbit_words, row_low_mask
 
 import oracles
 
@@ -119,32 +119,44 @@ def test_criterion_4_orbit_partition_soundness():
 
 def test_criterion_5_operator_laws():
     with criterion(5, "operator laws, randomized"):
+        # the word kernel the CLI runs, against the oracles' grid moves
         shapes = [(1, 1), (1, 30), (30, 1), (2, 15), (3, 10),
                   (4, 4), (5, 6), (6, 5)]
         rng = random.Random(20240824)
         for m, n in shapes:
             shape = MatrixShape(m, n)
             top = (1 << n) - 1
+            row_low = row_low_mask(m, n)
+            # grids as tuples of '0'/'1' row strings, which the oracle
+            # moves shift as they shift tuples of bits
+            row_format = f"0{n}b"
+            word_format = f"0{m * n}b"
+
+            def grid(x):
+                s = format(x, word_format)
+                return tuple(s[k:k + n] for k in range(0, m * n, n))
+
             for _ in range(10_000):
-                code = TupleCode(
-                    tuple(rng.randint(0, top) for _ in range(m)), shape)
-                matrix = decode(code)
-                assert encode(matrix) == code
-                r = code
-                for _ in range(m):
-                    r = rotate_rows(r)
-                assert r == code
-                c = code
-                for _ in range(n):
-                    c = rotate_cols(c)
-                assert c == code
-                assert rotate_rows(rotate_cols(code)) == \
-                    rotate_cols(rotate_rows(code))
-                grid = matrix.bits
-                assert decode(rotate_rows(code)).bits == \
-                    oracles.move_last_row_first(grid)
-                assert decode(rotate_cols(code)).bits == \
-                    oracles.move_last_col_first(grid)
+                rows = tuple(rng.randint(0, top) for _ in range(m))
+                w = tuple_index(TupleCode(rows, shape))
+                words = list(orbit_words(w, m, n, row_low))
+                assert len(words) == m * n
+                start = g = tuple(format(p, row_format) for p in rows)
+                # words 0..n-1 are col^1..col^n, so the last one is w
+                for j in range(n):
+                    g = oracles.move_last_col_first(g)
+                    assert grid(words[j]) == g
+                assert words[n - 1] == w
+                # words i*n + n - 1 are row^i, and row^m returns to w: the
+                # last word is row^(m-1), and its orbit's word 2n - 1 (its
+                # last one if m = 1) is one more kernel row move
+                g = start
+                for i in range(1, m):
+                    g = oracles.move_last_row_first(g)
+                    assert grid(words[i * n + n - 1]) == g
+                again = islice(orbit_words(words[-1], m, n, row_low), 2 * n)
+                assert list(again)[-1] == w
+                assert tuple_index(code_at_index(shape, w)) == w
 
 
 def test_criterion_6_analytic_count_validation():

@@ -1,0 +1,14 @@
+"""The public API is what the README documents, and no more."""
+
+import re
+from pathlib import Path
+
+import torus_orbits
+
+README = (Path(__file__).parent.parent / "README.md").read_text()
+
+
+def test_every_public_name_is_documented():
+    missing = [name for name in torus_orbits.__all__
+               if not re.search(rf"\b{re.escape(name)}\b", README)]
+    assert missing == []

@@ -67,6 +67,22 @@ class TestCount:
         assert code == 3
         assert "--method burnside" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("count", "2147483648", "2147483648"),  # MemoryError: 2^62 bits
+        ("count", "100000000000", "100000000000"),  # OverflowError
+        ("enumerate", "2147483648", "2147483648", "--method", "filter",
+         "--limit", "1"),  # MemoryError, from 1 << cells
+    ])
+    def test_host_cannot_hold_shape(self, argv):
+        # 2^59 bytes or more: beyond any 64-bit address space
+        proc = subprocess.run(
+            [sys.executable, "-m", "torus_orbits.cli", *argv],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("capacity exceeded: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("m,n", [("9", "9"), ("6", "6")])
     def test_filter_capacity(self, m, n):
         # a subprocess with a timeout, so an unbounded scan fails the test
@@ -179,6 +195,22 @@ class TestCheck:
         code, _, err = run(capsys, "check", "5", "5")
         assert code == 3
 
+    def test_mismatch_reported(self, capsys, monkeypatch):
+        real = cli.iter_canonical_indices
+
+        def dropping_one(shape):
+            indices = list(real(shape))
+            del indices[5]
+            return iter(indices)
+
+        monkeypatch.setattr(cli, "iter_canonical_indices", dropping_one)
+        code, out, err = run(capsys, "check", "3", "3")
+        assert code == 1
+        assert "MISMATCH" in err
+        assert "representative sequences: MISMATCH" in out
+        assert out.count("only in sieve:") == 1
+        assert "only in filter:" not in out
+
 
 class TestOeis:
     def test_all_terms_pass(self, capsys):
@@ -217,6 +249,7 @@ class TestUsageErrors:
         ("enumerate", "2", "2", "--format", "png"),
         ("enumerate", "2", "2", "--method", "burnside"),
         ("nonsense",),
+        ("check", "2", "2", "--memory-budget-bits", "8"),
     ])
     def test_exit_2(self, capsys, argv):
         assert cli.main(list(argv)) == 2

@@ -1,19 +1,24 @@
+"""Codes, their linearized words and the word rotation kernel.
+
+The package holds one rotation model, `torus.orbit_words` on the word;
+these tests pin it and the code/word bijection to plain grids and the
+last-to-first grid moves of `oracles`.
+"""
+
 import itertools
 import random
 
 import pytest
 
 from torus_orbits import (
-    BinaryMatrix,
     MatrixShape,
     RangeError,
     TupleCode,
-    decode,
-    encode,
-    rotate_cols,
-    rotate_rows,
-    xi,
+    code_at_index,
+    tuple_index,
 )
+from torus_orbits.formats import row_strings
+from torus_orbits.torus import orbit_words, row_low_mask
 
 import oracles
 
@@ -30,6 +35,29 @@ def random_code(rng, shape):
                      shape)
 
 
+def cells_word(grid):
+    """The grid's cells read row-major as one binary numeral."""
+    return int("".join(str(cell) for row in grid for cell in row), 2)
+
+
+def words(w, m, n):
+    return list(orbit_words(w, m, n, row_low_mask(m, n)))
+
+
+def word_rows(x, m, n):
+    top = (1 << n) - 1
+    return tuple((x >> (n * (m - 1 - i))) & top for i in range(m))
+
+
+def word_grid(x, m, n):
+    return oracles.rows_to_grid(word_rows(x, m, n), n)
+
+
+def row_rotation(x, m, n):
+    """row^1 of a word, by the kernel: word n + n - 1 of its orbit."""
+    return words(x, m, n)[2 * n - 1] if m > 1 else x
+
+
 class TestShape:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -39,26 +67,30 @@ class TestShape:
 
 
 class TestEncodeDecode:
+    """Grid to code through the word, and code back to grid rows."""
+
     def test_encode_2x3(self):
-        m = BinaryMatrix(MatrixShape(2, 3), ((1, 0, 1), (0, 0, 1)))
-        assert encode(m).rows == (5, 1)
+        grid = ((1, 0, 1), (0, 0, 1))
+        code = code_at_index(MatrixShape(2, 3), cells_word(grid))
+        assert code.rows == (5, 1)
 
     def test_encode_zero(self):
-        m = BinaryMatrix(MatrixShape(3, 4), tuple(((0,) * 4,) * 3))
-        assert encode(m).rows == (0, 0, 0)
+        grid = tuple(((0,) * 4,) * 3)
+        code = code_at_index(MatrixShape(3, 4), cells_word(grid))
+        assert code.rows == (0, 0, 0)
 
     def test_encode_1x1(self):
-        m = BinaryMatrix(MatrixShape(1, 1), ((1,),))
-        assert encode(m).rows == (1,)
+        code = code_at_index(MatrixShape(1, 1), cells_word(((1,),)))
+        assert code.rows == (1,)
 
     def test_decode_2x3(self):
         code = TupleCode((5, 1), MatrixShape(2, 3))
-        assert decode(code).bits == ((1, 0, 1), (0, 0, 1))
+        assert row_strings(code) == ["101", "001"]
 
     def test_decode_all_ones_row(self):
         for n in (1, 3, 8):
             code = TupleCode(((1 << n) - 1,), MatrixShape(1, n))
-            assert decode(code).bits == ((1,) * n,)
+            assert row_strings(code) == ["1" * n]
 
     def test_roundtrip_random_4x4(self):
         rng = random.Random(7)
@@ -67,12 +99,16 @@ class TestEncodeDecode:
             grid = tuple(
                 tuple(rng.randint(0, 1) for _ in range(4)) for _ in range(4)
             )
-            matrix = BinaryMatrix(shape, grid)
-            assert decode(encode(matrix)) == matrix
+            w = cells_word(grid)
+            code = code_at_index(shape, w)
+            assert row_strings(code) == \
+                ["".join(map(str, row)) for row in grid]
+            assert tuple_index(code) == w
 
     def test_roundtrip_exhaustive_2x3(self):
+        shape = MatrixShape(2, 3)
         for code in all_codes(2, 3):
-            assert encode(decode(code)) == code
+            assert code_at_index(shape, tuple_index(code)) == code
 
     def test_tuple_code_rejects_out_of_range(self):
         with pytest.raises(RangeError):
@@ -85,92 +121,99 @@ class TestEncodeDecode:
             TupleCode((1, 2, 3), MatrixShape(2, 3))
 
     def test_matrix_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            BinaryMatrix(MatrixShape(1, 2), ((0, 2),))
+        # a row given as a bit string or a float is not a row value
+        with pytest.raises(RangeError):
+            TupleCode((0, "10"), MatrixShape(2, 2))
+        with pytest.raises(RangeError):
+            TupleCode((1.0,), MatrixShape(1, 2))
 
     def test_lexicographic_order(self):
         shape = MatrixShape(2, 2)
-        assert TupleCode((0, 3), shape) < TupleCode((1, 0), shape)
-        assert TupleCode((1, 1), shape) < TupleCode((1, 2), shape)
+        assert tuple_index(TupleCode((0, 3), shape)) < \
+            tuple_index(TupleCode((1, 0), shape))
+        assert tuple_index(TupleCode((1, 1), shape)) < \
+            tuple_index(TupleCode((1, 2), shape))
 
 
 class TestXi:
+    """One column rotation: the n-bit right rotation of each row field."""
+
     def test_zero_fixed_point(self):
         for n in range(1, 10):
-            assert xi(0, n) == 0
+            assert words(0, 1, n) == [0] * n
 
     def test_hand_values(self):
-        assert xi(5, 4) == 10  # 0101 -> 1010
-        assert xi(6, 3) == 3   # 110 -> 011
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(RangeError):
-            xi(8, 3)
-        with pytest.raises(RangeError):
-            xi(-1, 3)
+        assert words(5, 1, 4)[0] == 10  # 0101 -> 1010
+        assert words(6, 1, 3)[0] == 3   # 110 -> 011
+        # each row field rotates on its own: 0101 0110 -> 1010 0011
+        assert words(0b0101_0110, 2, 4)[0] == 0b1010_0011
 
     def test_order_n(self):
         for n in (1, 2, 5):
             for a in range(1 << n):
-                b = a
-                for _ in range(n):
-                    b = xi(b, n)
-                assert b == a
+                assert words(a, 1, n)[n - 1] == a
 
 
 class TestRotations:
     def test_rotate_rows_pattern(self):
-        code = TupleCode((1, 2, 3), MatrixShape(3, 2))
-        assert rotate_rows(code).rows == (3, 1, 2)
+        w = tuple_index(TupleCode((1, 2, 3), MatrixShape(3, 2)))
+        orbit = words(w, 3, 2)
+        assert word_rows(orbit[3], 3, 2) == (3, 1, 2)
+        assert word_rows(orbit[5], 3, 2) == (2, 3, 1)
 
     def test_rotate_rows_single_row(self):
-        code = TupleCode((9,), MatrixShape(1, 4))
-        assert rotate_rows(code) == code
+        # one row has no row move: its orbit words are its n column moves
+        assert words(9, 1, 4) == [12, 6, 3, 9]
+        assert row_rotation(9, 1, 4) == 9
 
     def test_rotate_cols_2x3(self):
-        code = TupleCode((5, 1), MatrixShape(2, 3))
-        assert rotate_cols(code).rows == (6, 4)
+        w = tuple_index(TupleCode((5, 1), MatrixShape(2, 3)))
+        assert word_rows(words(w, 2, 3)[0], 2, 3) == (6, 4)
 
     def test_rotate_cols_zero(self):
-        code = TupleCode((0, 0), MatrixShape(2, 5))
-        assert rotate_cols(code) == code
+        assert words(0, 2, 5) == [0] * 10
 
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 2), (4, 5)])
     def test_rotation_orders(self, m, n):
         rng = random.Random(m * 100 + n)
         shape = MatrixShape(m, n)
         for _ in range(50):
-            code = random_code(rng, shape)
-            r = code
+            w = tuple_index(random_code(rng, shape))
+            r = w
             for _ in range(m):
-                r = rotate_rows(r)
-            assert r == code
-            c = code
-            for _ in range(n):
-                c = rotate_cols(c)
-            assert c == code
+                r = row_rotation(r, m, n)
+            assert r == w
+            assert words(w, m, n)[n - 1] == w
 
     def test_commutation_exhaustive_2x3(self):
-        for code in all_codes(2, 3):
-            assert rotate_rows(rotate_cols(code)) == \
-                rotate_cols(rotate_rows(code))
+        m, n = 2, 3
+        for w in range(1 << (m * n)):
+            orbit = words(w, m, n)
+            for j in range(1, n + 1):
+                col_j = words(orbit[j - 1], m, n)
+                for i in range(m):
+                    # row^i(col^j(w)) == col^j(row^i(w))
+                    assert col_j[i * n + n - 1] == orbit[i * n + j - 1]
+
+    @staticmethod
+    def check_grid_semantics(w, m, n):
+        # word i*n + j - 1 is col^j(row^i(w)): the last-to-first grid moves
+        orbit = words(w, m, n)
+        row_moved = word_grid(w, m, n)
+        for i in range(m):
+            g = row_moved
+            for j in range(1, n + 1):
+                g = oracles.move_last_col_first(g)
+                assert word_grid(orbit[i * n + j - 1], m, n) == g
+            row_moved = oracles.move_last_row_first(row_moved)
 
     def test_grid_semantics_exhaustive_2x3(self):
-        # row/column rotations on codes match last-to-first grid moves
-        for code in all_codes(2, 3):
-            grid = decode(code).bits
-            assert decode(rotate_rows(code)).bits == \
-                oracles.move_last_row_first(grid)
-            assert decode(rotate_cols(code)).bits == \
-                oracles.move_last_col_first(grid)
+        for w in range(1 << 6):
+            self.check_grid_semantics(w, 2, 3)
 
     def test_grid_semantics_random_4x5(self):
         rng = random.Random(3)
         shape = MatrixShape(4, 5)
         for _ in range(200):
-            code = random_code(rng, shape)
-            grid = decode(code).bits
-            assert decode(rotate_rows(code)).bits == \
-                oracles.move_last_row_first(grid)
-            assert decode(rotate_cols(code)).bits == \
-                oracles.move_last_col_first(grid)
+            self.check_grid_semantics(
+                tuple_index(random_code(rng, shape)), 4, 5)
