@@ -6,7 +6,7 @@ A179043.
 """
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 from .errors import InternalError
 
@@ -34,26 +34,48 @@ class OrbitCount:
     n: int
 
 
-def translation_cycle_count(i, j, m, n):
-    """Number of cell cycles of the translation (i, j) on the m x n torus."""
-    return m * n // lcm(m // gcd(i, m), n // gcd(j, n))
+def _divisor_totients(k):
+    """Each divisor d of k with Euler's phi(d), (1, 1) first.
+
+    Built from one trial-division factorization of k: O(sqrt(k))
+    divisions, no scan of 1..k.
+    """
+    pairs = [(1, 1)]
+    p = 2
+    while k > 1:
+        if p * p > k:
+            p = k  # what is left is prime
+        if k % p == 0:
+            powers = []
+            q, phi_q = p, p - 1
+            while k % p == 0:
+                k //= p
+                powers.append((q, phi_q))
+                q, phi_q = q * p, phi_q * p
+            pairs += [(d * e, t * u) for d, t in pairs for e, u in powers]
+        p += 1
+    return pairs
 
 
 def count_burnside(shape):
     """Average fixed-point count over all m*n torus translations.
 
-    Translation (i, j) fixes exactly 2^cycles matrices, one free bit per
-    cell cycle. All arithmetic is exact; the divisibility of the sum by
-    m*n is asserted rather than assumed.
+    A translation of order (a, b), a | m and b | n, has mn / lcm(a, b)
+    cell cycles, so it fixes 2^(mn / lcm(a, b)) matrices, one free bit
+    per cycle; phi(a) * phi(b) translations have that order. The sum
+    therefore has d(m) * d(n) terms, not m * n. The identity's term,
+    2^(mn), is added first, so a shape too large for the host fails on
+    its first shift. All arithmetic is exact; the divisibility of the
+    sum by m*n is asserted rather than assumed.
     """
     m, n = shape.m, shape.n
+    col_orders = _divisor_totients(n)
     total = 0
-    for i in range(m):
-        for j in range(n):
-            total += 1 << translation_cycle_count(i, j, m, n)
+    for a, phi_a in _divisor_totients(m):
+        for b, phi_b in col_orders:
+            total += phi_a * phi_b << (m * n // lcm(a, b))
     if total % (m * n):
         raise InternalError(
             f"fixed-point sum {total} not divisible by {m * n}"
         )
     return OrbitCount(total // (m * n), m, n)
-

@@ -5,6 +5,8 @@ tuples with its own arithmetic, deliberately not reusing the package's
 word-level tricks.
 """
 
+from math import gcd, lcm
+
 
 def move_last_row_first(grid):
     return grid[-1:] + grid[:-1]
@@ -75,3 +77,21 @@ def necklace_count(n):
             seen.add(s[k:] + s[:k])
     return count
 
+
+def translation_cycle_count(i, j, m, n):
+    """Number of cell cycles of the translation (i, j) on the m x n torus."""
+    return m * n // lcm(m // gcd(i, m), n // gcd(j, n))
+
+
+def translation_burnside_count(m, n):
+    """Burnside's count by the literal loop over all m*n translations.
+
+    Translation (i, j) fixes exactly 2^cycles matrices, one free bit per
+    cell cycle.
+    """
+    total = 0
+    for i in range(m):
+        for j in range(n):
+            total += 1 << translation_cycle_count(i, j, m, n)
+    assert total % (m * n) == 0
+    return total // (m * n)

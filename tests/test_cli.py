@@ -93,6 +93,19 @@ class TestCount:
         assert proc.returncode == 3
         assert "--method burnside" in proc.stderr
 
+    def test_burnside_prime_sides_in_time(self):
+        # a subprocess with a timeout: the old m*n translation loop took
+        # about 50 s on a 2-vCPU box; the digits come from the
+        # prime-sides closed form
+        proc = subprocess.run(
+            [sys.executable, "-m", "torus_orbits.cli", "count", "1009",
+             "1013"],
+            capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 0
+        digits = proc.stdout.strip()
+        assert len(digits) == 307682
+        assert digits.endswith("33567967855767413632")
+
 
 class TestEnumerate:
     def test_1x1_lines(self, capsys):

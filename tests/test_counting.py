@@ -1,7 +1,7 @@
 import pytest
 
 from torus_orbits import A179043, MatrixShape, count_burnside
-from torus_orbits.counting import translation_cycle_count
+from torus_orbits.counting import _divisor_totients
 
 import oracles
 
@@ -39,15 +39,58 @@ class TestBurnside:
             assert value * m * n >= 1 << (m * n)
 
     def test_identity_translation_fixes_everything(self):
-        assert translation_cycle_count(0, 0, 5, 7) == 35
+        assert oracles.translation_cycle_count(0, 0, 5, 7) == 35
 
     def test_cycle_counts_bounded(self):
         for m, n in [(4, 6), (5, 5)]:
             for i in range(m):
                 for j in range(n):
-                    c = translation_cycle_count(i, j, m, n)
+                    c = oracles.translation_cycle_count(i, j, m, n)
                     assert 1 <= c <= m * n
 
+    def test_matches_translation_loop(self):
+        # the divisor-pair sum against the literal m*n translation loop
+        for m in range(1, 41):
+            for n in range(1, 41):
+                assert count_burnside(MatrixShape(m, n)).value == \
+                    oracles.translation_burnside_count(m, n), (m, n)
+
+    @pytest.mark.parametrize("p,q", [(509, 521), (1009, 1013), (1009, 1009)])
+    def test_prime_sides_closed_form(self, p, q):
+        # translations of order (1, 1), (p, 1), (1, q) and (p, q); for
+        # p == q the last three merge into p^2 - 1 translations of order p
+        if p == q:
+            total = (1 << p * p) + (p * p - 1) * (1 << p)
+        else:
+            total = ((1 << p * q) + (p - 1) * (1 << q) + (q - 1) * (1 << p)
+                     + 2 * (p - 1) * (q - 1))
+        assert total % (p * q) == 0
+        assert count_burnside(MatrixShape(p, q)).value == total // (p * q)
+
+
+class TestDivisorTotients:
+    def test_small(self):
+        for k in range(1, 2001):
+            pairs = _divisor_totients(k)
+            assert pairs[0] == (1, 1)
+            assert sorted(d for d, _ in pairs) == \
+                [d for d in range(1, k + 1) if k % d == 0]
+            assert sum(phi for _, phi in pairs) == k
+            # phi(d) as listed for k agrees with phi(d) listed for d
+            for d, phi in pairs:
+                assert dict(_divisor_totients(d))[d] == phi
+
+    @pytest.mark.parametrize("k,count", [
+        (1 << 31, 32), ((1 << 31) - 1, 2), (10 ** 11, 144),
+        (1000003 * 1000033, 4),
+    ])
+    def test_large_k_by_factorization(self, k, count):
+        # trial division to sqrt(k): a scan of 1..k would not finish
+        pairs = _divisor_totients(k)
+        divisors = [d for d, _ in pairs]
+        assert len(set(divisors)) == len(divisors) == count
+        assert all(k % d == 0 for d in divisors)
+        assert sum(phi for _, phi in pairs) == k
 
 
 class TestBruteforce:
