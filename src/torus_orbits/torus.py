@@ -9,7 +9,7 @@ n-bit field independently.
 """
 
 from .codec import TupleCode
-from .errors import CapacityError
+from .errors import CapacityError, RangeError
 
 DEFAULT_BUDGET_BITS = 1 << 33  # codes per full scan: 1 GiB of sieve marks
 
@@ -30,7 +30,7 @@ def tuple_index(code):
 def code_at_index(shape, idx):
     """Inverse of tuple_index."""
     if idx < 0 or idx >> shape.cells:
-        raise ValueError(f"index {idx} outside [0, 2^{shape.cells})")
+        raise RangeError(f"index {idx} outside [0, 2^{shape.cells})")
     n, top = shape.n, (1 << shape.n) - 1
     rows = tuple(
         (idx >> (n * (shape.m - 1 - i))) & top for i in range(shape.m)
@@ -104,30 +104,22 @@ class VisitedStore:
 def iter_representative_indices(shape, memory_budget_bits=DEFAULT_BUDGET_BITS):
     """Yield the linearized index of each class minimum, ascending.
 
-    A forward-moving cursor scans the visited store for the next zero
-    bit (selected minima are nondecreasing, so it never rescans); each
-    selection marks its full rotation orbit.
+    One lexicographic pass over the visited store: each zero bit is a
+    class minimum, which is yielded and its whole rotation orbit
+    marked. The byte iterator reads the live store, and no orbit member
+    lies below its minimum, so every mark lands at or ahead of the pass.
     """
     m, n = shape.m, shape.n
     visited = VisitedStore(shape, memory_budget_bits).bits
     row_low = row_low_mask(m, n)
     bit = (1, 2, 4, 8, 16, 32, 64, 128)
-
-    cursor = 0
-    nbytes = len(visited)
-    while cursor < nbytes:
-        b = visited[cursor]
-        if b == 0xFF:
-            cursor += 1
-            continue
-        z = 0
-        while b & 1:
-            b >>= 1
-            z += 1
-        w = (cursor << 3) | z
-        yield w
-        for x in orbit_words(w, m, n, row_low):
-            visited[x >> 3] |= bit[x & 7]
+    for cursor, b in enumerate(visited):
+        while b != 0xFF:
+            w = (cursor << 3) | ((~b & (b + 1)).bit_length() - 1)
+            yield w
+            for x in orbit_words(w, m, n, row_low):
+                visited[x >> 3] |= bit[x & 7]
+            b = visited[cursor]
 
 
 def enumerate_torus(shape, memory_budget_bits=DEFAULT_BUDGET_BITS):

@@ -13,6 +13,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def split_records(text, fmt):
+    """The records of an enumerate output, each with its final newline."""
+    if fmt == "lines":  # records joined by blank lines
+        return [r + "\n" for r in text[:-1].split("\n\n")]
+    if fmt == "pbm":
+        return ["P1" + r for r in text.split("P1")[1:]]
+    return text.splitlines(keepends=True)
+
+
+def join_records(records, fmt):
+    return ("\n" if fmt == "lines" else "").join(records)
+
+
 class TestCount:
     @pytest.mark.parametrize("m,n,expected", [
         ("1", "1", "2"), ("4", "4", "4156"),
@@ -182,6 +195,25 @@ class TestEnumerate:
         assert "`count --method burnside`" in err
         assert "`enumerate --method filter --limit K`" in err
 
+    @pytest.mark.parametrize("limit", [1, 351, 352, 353])  # 3x4: N = 352
+    @pytest.mark.parametrize("fmt", ["lines", "pbm", "jsonl"])
+    @pytest.mark.parametrize("method", ["sieve", "filter"])
+    def test_limit_is_a_prefix(self, capsys, tmp_path, method, fmt, limit):
+        argv = ("enumerate", "3", "4", "--method", method, "--format", fmt)
+        _, full, _ = run(capsys, *argv)
+        records = split_records(full, fmt)
+        assert len(records) == 352
+        code, out, err = run(capsys, *argv, "--limit", str(limit))
+        assert code == 0
+        assert out == join_records(records[:limit], fmt)
+        summary = "classes=352" if limit >= 352 else f"emitted={limit}"
+        assert err == summary + "\n"
+        path = tmp_path / "reps"
+        code, _, _ = run(capsys, *argv, "--limit", str(limit),
+                         "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode()
+
     def test_filter_limit_on_any_shape(self, capsys):
         code, out, err = run(capsys, "enumerate", "8", "8", "--method",
                              "filter", "--limit", "3", "--format", "jsonl")
@@ -207,6 +239,17 @@ class TestCheck:
     def test_guarded_shape(self, capsys):
         code, _, err = run(capsys, "check", "5", "5")
         assert code == 3
+        assert "1048576-code budget" in err
+        assert err.splitlines()[1].startswith("hint: ")
+        # a subprocess with a timeout: past the routes' guard, Burnside
+        # would fail on a 2^62-bit integer with no hint
+        proc = subprocess.run(
+            [sys.executable, "-m", "torus_orbits.cli", "check",
+             "2147483648", "2147483648"],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 3
+        assert "1048576-code budget" in proc.stderr
+        assert proc.stderr.splitlines()[1].startswith("hint: ")
 
     def test_mismatch_reported(self, capsys, monkeypatch):
         real = cli.iter_canonical_indices

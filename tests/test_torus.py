@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from torus_orbits import (
     CapacityError,
     MatrixShape,
+    RangeError,
     TupleCode,
     VisitedStore,
     canonical_form,
@@ -49,8 +50,9 @@ class TestTupleIndex:
         shape = MatrixShape(3, 4)
         for idx in (0, 1, 100, (1 << 12) - 1):
             assert tuple_index(code_at_index(shape, idx)) == idx
-        with pytest.raises(ValueError):
-            code_at_index(shape, 1 << 12)
+        for idx in (-1, 1 << 12):
+            with pytest.raises(RangeError):
+                code_at_index(shape, idx)
 
 
 def visited_rows(rows, m, n):
