@@ -6,7 +6,7 @@ every candidate against its m*n rotations.
 """
 
 from .errors import RangeError
-from .torus import code_at_index, orbit_words, row_low_mask, tuple_index
+from .torus import row_low_mask
 
 
 def _word_is_canonical(w, m, n, row_low):
@@ -28,21 +28,11 @@ def _word_is_canonical(w, m, n, row_low):
     return True
 
 
-def is_canonical(code):
-    """True iff no rotation of the code is lexicographically smaller."""
-    m, n = code.shape.m, code.shape.n
-    return _word_is_canonical(tuple_index(code), m, n, row_low_mask(m, n))
-
-
-def canonical_form(code):
-    """The lex-minimal code in the rotation orbit of the given code."""
-    m, n = code.shape.m, code.shape.n
-    best = min(orbit_words(tuple_index(code), m, n, row_low_mask(m, n)))
-    return code_at_index(code.shape, best)
-
-
 def iter_canonical_indices(shape, start=0, stop=None):
-    """Linearized indices of canonical codes within [start, stop)."""
+    """Linearized indices of canonical codes within [start, stop), ascending.
+
+    The full range yields exactly the sieve's representative sequence.
+    """
     total = 1 << shape.cells
     if stop is None:
         stop = total
@@ -53,12 +43,3 @@ def iter_canonical_indices(shape, start=0, stop=None):
     for w in range(start, stop):
         if _word_is_canonical(w, m, n, row_low):
             yield w
-
-
-def stream_canonical(shape, start=0, stop=None):
-    """Canonical codes in ascending order over an index range.
-
-    The full range yields exactly the sieve's representative sequence.
-    """
-    for w in iter_canonical_indices(shape, start, stop):
-        yield code_at_index(shape, w)

@@ -1,7 +1,8 @@
 """Command-line front end: count, enumerate, check, oeis.
 
 Exit codes: 0 success/agreement, 1 verification mismatch or I/O
-failure, 2 invalid arguments, 3 resource limit exceeded.
+failure, 2 invalid arguments, 3 resource limit exceeded, 130
+interrupted (SIGINT, as from Ctrl-C).
 """
 
 import argparse
@@ -219,6 +220,9 @@ def main(argv=None):
         return EXIT_CAPACITY
     except BrokenPipeError:
         return EXIT_MISMATCH_OR_IO
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, the shell's code for a Ctrl-C death
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH_OR_IO

@@ -30,8 +30,6 @@ A179043 = (
 @dataclass(frozen=True)
 class OrbitCount:
     value: int
-    m: int
-    n: int
 
 
 def _divisor_totients(k):
@@ -78,4 +76,4 @@ def count_burnside(shape):
         raise InternalError(
             f"fixed-point sum {total} not divisible by {m * n}"
         )
-    return OrbitCount(total // (m * n), m, n)
+    return OrbitCount(total // (m * n))

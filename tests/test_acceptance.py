@@ -15,14 +15,13 @@ from pathlib import Path
 from torus_orbits import (
     MatrixShape,
     TupleCode,
-    VisitedStore,
     code_at_index,
     count_burnside,
+    iter_canonical_indices,
     iter_representative_indices,
     tuple_index,
 )
-from torus_orbits.canonical import iter_canonical_indices
-from torus_orbits.torus import orbit_words, row_low_mask
+from torus_orbits.torus import VisitedStore, orbit_words, row_low_mask
 
 import oracles
 

@@ -1,6 +1,8 @@
 import json
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -187,6 +189,22 @@ class TestEnumerate:
         assert code == 3
         assert path.read_bytes() == b"kept"
         assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_interrupt_leaves_no_file(self, tmp_path):
+        # a real SIGINT mid-scan: 5x5 runs for tens of seconds
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "torus_orbits.cli", "enumerate", "5",
+             "5", "--out", str(tmp_path / "f")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        deadline = time.monotonic() + 30
+        while not (tmp_path / "f.part").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+        assert proc.returncode == 130
+        assert (out, err) == ("", "interrupted\n")
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_capacity_exit(self, capsys):
         code, _, err = run(capsys, "enumerate", "8", "8",

@@ -8,16 +8,14 @@ from torus_orbits import (
     MatrixShape,
     RangeError,
     TupleCode,
-    VisitedStore,
-    canonical_form,
     code_at_index,
     count_burnside,
     enumerate_torus,
-    is_canonical,
+    iter_canonical_indices,
     iter_representative_indices,
     tuple_index,
 )
-from torus_orbits.torus import orbit_words, row_low_mask
+from torus_orbits.torus import VisitedStore, orbit_words, row_low_mask
 
 import oracles
 
@@ -95,11 +93,11 @@ class TestOrbitVisits:
         orbit = oracles.rows_orbit(rows, n)
         assert len(visits) == m * n
         assert set(visits) == orbit
-        code = TupleCode(rows, MatrixShape(m, n))
-        assert canonical_form(code).rows == min(orbit)
+        shape = MatrixShape(m, n)
+        w = tuple_index(TupleCode(rows, shape))
         # the filter's inlined copy of the kernel, on the same shapes
-        assert is_canonical(code) == (code.rows == min(orbit))
-        assert is_canonical(canonical_form(code))
+        assert list(iter_canonical_indices(shape, w, w + 1)) == \
+            ([w] if rows == min(orbit) else [])
 
 
 class TestVisitedStore:
