@@ -57,7 +57,9 @@ def _build_parser():
                             help="stream one representative per class")
     add_shape_args(p_enum)
     p_enum.add_argument("--method", choices=("sieve", "filter"),
-                        default="sieve")
+                        default=None,
+                        help="default: the filter, but the sieve for a "
+                             "full run on one row or at most two columns")
     p_enum.add_argument("--format", choices=FORMATS, default="lines",
                         dest="fmt")
     p_enum.add_argument("--out", default=None,
@@ -87,6 +89,18 @@ def _representative_indices(shape, method, budget_bits, limit=None):
     if limit is None:  # --limit bounds the filter's work
         check_exhaustive(shape, budget_bits)
     return iter_canonical_indices(shape)
+
+
+def _enumerate_method(shape, limit):
+    """enumerate's route when none is named.
+
+    The filter needs no visited store, so --limit lists the first classes
+    of any shape. A full run on one row or on at most two columns is
+    faster by sieve: there the necklace pruning leaves most codes to test.
+    """
+    if limit is None and (shape.m == 1 or shape.n <= 2):
+        return "sieve"
+    return "filter"
 
 
 def _decimal(value):
@@ -132,7 +146,8 @@ def cmd_count(args):
 
 def cmd_enumerate(args):
     shape = MatrixShape(args.m, args.n)
-    indices = _representative_indices(shape, args.method,
+    method = args.method or _enumerate_method(shape, args.limit)
+    indices = _representative_indices(shape, method,
                                       args.memory_budget_bits, args.limit)
     codes = (code_at_index(shape, w) for w in indices)
     sink = _replacing(args.out) if args.out else nullcontext(sys.stdout)

@@ -69,8 +69,8 @@ def orbit_words(w, m, n, row_low):
 def check_exhaustive(shape, memory_budget_bits):
     """Refuse a scan of the whole ground set beyond memory_budget_bits codes.
 
-    Both exhaustive routes walk all 2^(m*n) codes: the sieve keeps one
-    visited bit per code, the filter tests each code in turn.
+    The sieve walks all 2^(m*n) codes and keeps one visited bit per
+    code; the filter tests at most that many.
     """
     # 2^cells > budget, without building 2^cells for a huge shape
     if shape.cells >= memory_budget_bits.bit_length():

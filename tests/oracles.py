@@ -78,6 +78,32 @@ def necklace_count(n):
     return count
 
 
+def necklace(p, n):
+    """The least rotation of the n-bit row p, by string rotation."""
+    s = format(p, f"0{n}b")
+    return min(int(s[k:] + s[:k], 2) for k in range(n))
+
+
+def pruned_candidate_count(m, n):
+    """Words whose top row r0 is a necklace and whose other rows all have
+    necklaces >= r0: the words the filter tests."""
+    necklaces = [necklace(p, n) for p in range(1 << n)]
+    return sum(sum(1 for q in necklaces if q >= r0) ** (m - 1)
+               for r0 in set(necklaces))
+
+
+def pruned_candidates(m, n, start, stop):
+    """The words of [start, stop) that the filter tests, row by row."""
+    necklaces = [necklace(p, n) for p in range(1 << n)]
+    words = []
+    for w in range(start, stop):
+        rows = [(w >> (n * (m - 1 - i))) & ((1 << n) - 1) for i in range(m)]
+        if necklaces[rows[0]] == rows[0] and \
+                all(necklaces[p] >= rows[0] for p in rows):
+            words.append(w)
+    return words
+
+
 def translation_cycle_count(i, j, m, n):
     """Number of cell cycles of the translation (i, j) on the m x n torus."""
     return m * n // lcm(m // gcd(i, m), n // gcd(j, n))

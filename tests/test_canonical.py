@@ -1,4 +1,6 @@
+import functools
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -6,10 +8,12 @@ from torus_orbits import (
     MatrixShape,
     RangeError,
     TupleCode,
+    code_at_index,
     enumerate_torus,
     iter_canonical_indices,
     tuple_index,
 )
+from torus_orbits import canonical
 
 import oracles
 
@@ -47,12 +51,35 @@ def test_canonical_words_are_orbit_minima():
         assert kept == [tuple_index(TupleCode(min(orbit), shape))]
 
 
+SHAPES_UP_TO_20_CELLS = [(m, n) for m in range(1, 21) for n in range(1, 21)
+                         if m * n <= 20]
+
+
+@functools.cache
+def _sieve_words(m, n):
+    shape = MatrixShape(m, n)
+    return [tuple_index(c) for c in enumerate_torus(shape)]
+
+
+def sieve_words(m, n, start=0, stop=None):
+    """The sieve's representatives within [start, stop), ascending."""
+    words = _sieve_words(m, n)
+    return words[bisect_left(words, start):
+                 len(words) if stop is None else bisect_left(words, stop)]
+
+
 class TestStream:
     def test_length_two_necklaces(self):
         assert list(iter_canonical_indices(MatrixShape(1, 2))) == [0, 1, 3]
 
     def test_2x2_full_range(self):
         assert len(list(iter_canonical_indices(MatrixShape(2, 2)))) == 7
+
+    def test_tall_shape(self):
+        # one walk per row, not one stack frame: 2000 rows pass the
+        # interpreter's default recursion limit
+        assert list(iter_canonical_indices(MatrixShape(2000, 1), 0, 10)) == \
+            [0, 1, 3, 5, 7, 9]
 
     def test_empty_range(self):
         assert list(iter_canonical_indices(MatrixShape(2, 2), 5, 5)) == []
@@ -77,9 +104,86 @@ class TestStream:
                                                  min(lo + step, total)))
         assert pieces == full
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (1, 6), (2, 3), (3, 3),
-                                     (2, 5), (4, 3)])
+    @pytest.mark.parametrize("m,n", SHAPES_UP_TO_20_CELLS)
     def test_agrees_with_sieve(self, m, n):
+        assert list(iter_canonical_indices(MatrixShape(m, n))) == \
+            sieve_words(m, n)
+
+
+class TestPruning:
+    """The pruned walk against the sieve, the independent route."""
+
+    def test_random_subranges_match_sieve(self):
+        rng = random.Random(20261018)
+        for m, n in SHAPES_UP_TO_20_CELLS:
+            shape = MatrixShape(m, n)
+            total = 1 << shape.cells
+            starts = [rng.randrange(total + 1) for _ in range(5)]
+            ranges = [(s, min(total, s + length)) for s, length in
+                      zip(starts, (0, 1, 2, rng.randrange(1 << 14),
+                                   rng.randrange(1 << 14)))]
+            for start, stop in ranges:
+                assert list(iter_canonical_indices(shape, start, stop)) \
+                    == sieve_words(m, n, start, stop), (m, n, start, stop)
+
+    @pytest.mark.parametrize("m,n", [(2, 7), (3, 4), (3, 6), (4, 5)])
+    def test_ranges_at_top_row_boundaries(self, m, n):
         shape = MatrixShape(m, n)
-        assert list(iter_canonical_indices(shape)) == \
-            [tuple_index(c) for c in enumerate_torus(shape)]
+        total = 1 << shape.cells
+        shift = n * (m - 1)
+        width = 1 << shift
+        for r0 in range(1 << n):
+            edge = r0 << shift
+            near = (edge - 1, edge, edge + 1)
+            ranges = [(lo, hi) for lo in near for hi in near if lo <= hi]
+            ranges += [(x - 37, x) for x in near] + [(x, x + 37) for x in near]
+            for lo, hi in ranges:
+                if 0 <= lo and hi <= total:
+                    assert list(iter_canonical_indices(shape, lo, hi)) == \
+                        sieve_words(m, n, lo, hi), (lo, hi)
+            if oracles.necklace(r0, n) != r0:
+                # inside a top row that is no necklace: nothing is kept
+                for lo, hi in ((edge, edge + width),
+                               (edge + 1, edge + width - 1)):
+                    assert list(iter_canonical_indices(shape, lo, hi)) == \
+                        sieve_words(m, n, lo, hi) == []
+
+    @pytest.mark.parametrize("m,n", [(1, 9), (2, 7), (3, 4), (4, 4),
+                                     (4, 5), (5, 3)])
+    def test_tests_only_the_lemma_candidates(self, monkeypatch, m, n):
+        tested = []
+        real = canonical._word_is_canonical
+
+        def counting(w, *args):
+            tested.append(w)
+            return real(w, *args)
+
+        monkeypatch.setattr(canonical, "_word_is_canonical", counting)
+        shape = MatrixShape(m, n)
+        kept = list(iter_canonical_indices(shape))
+        assert len(tested) == oracles.pruned_candidate_count(m, n)
+        assert tested == sorted(set(tested))
+        assert set(kept) <= set(tested)
+        # sub-ranges seek into rows above the top row's value
+        rng = random.Random(m * 100 + n)
+        total = 1 << shape.cells
+        for _ in range(20):
+            start = rng.randrange(total)
+            stop = min(total, start + rng.randrange(1 << 12))
+            tested.clear()
+            list(iter_canonical_indices(shape, start, stop))
+            assert tested == oracles.pruned_candidates(m, n, start, stop), \
+                (start, stop)
+
+    def test_lemma_holds_for_every_class_minimum(self):
+        # the sieve's minima, so the lemma is checked apart from the walk
+        for m, n in SHAPES_UP_TO_20_CELLS:
+            if m * n > 16:
+                continue
+            shape = MatrixShape(m, n)
+            for w in sieve_words(m, n):
+                rows = code_at_index(shape, w).rows
+                r0 = rows[0]
+                assert oracles.necklace(r0, n) == r0, (m, n, rows)
+                assert all(oracles.necklace(p, n) >= r0 for p in rows), \
+                    (m, n, rows)

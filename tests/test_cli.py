@@ -241,6 +241,62 @@ class TestEnumerate:
             [[0] * 8, [0] * 7 + [1], [0] * 7 + [3]]
         assert "emitted=3" in err
 
+    @pytest.mark.parametrize("m,n,tuples", [
+        ("1", "64", [[0], [1], [3]]),
+        ("2", "40", [[0, 0], [0, 1], [0, 3]]),
+    ])
+    def test_filter_limit_on_wide_shapes(self, m, n, tuples):
+        # a subprocess with a timeout: a table of 2^n rows cannot pass
+        proc = subprocess.run(
+            [sys.executable, "-m", "torus_orbits.cli", "enumerate", m, n,
+             "--method", "filter", "--limit", "3", "--format", "jsonl"],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0
+        records = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [r["tuple"] for r in records] == tuples
+        assert proc.stderr.endswith("emitted=3\n")
+
+    def test_filter_limit_on_tall_shape(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "torus_orbits.cli", "enumerate", "1200",
+             "1", "--limit", "3", "--format", "jsonl"],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0
+        records = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [r["tuple"] for r in records] == \
+            [[0] * 1200, [0] * 1199 + [1], [0] * 1198 + [1, 1]]
+        assert proc.stderr == "emitted=3\n"
+
+    def test_default_method_limits_any_shape(self, capsys):
+        # the filter is the default: no visited store, so --limit suffices
+        code, out, err = run(capsys, "enumerate", "6", "6", "--limit", "2")
+        assert code == 0
+        zeros = "000000\n" * 5
+        assert out == zeros + "000000\n\n" + zeros + "000001\n"
+        assert err == "emitted=2\n"
+
+    @pytest.mark.parametrize("argv,route", [
+        (("4", "5"), "filter"),
+        (("3", "3"), "filter"),
+        (("1", "6"), "sieve"),
+        (("5", "2"), "sieve"),
+        (("5", "2", "--limit", "4"), "filter"),
+        (("5", "2", "--method", "filter"), "filter"),
+        (("4", "5", "--method", "sieve"), "sieve"),
+    ])
+    def test_default_method_by_shape(self, capsys, monkeypatch, argv,
+                                     route):
+        used = []
+        for name, method in (("iter_canonical_indices", "filter"),
+                             ("iter_representative_indices", "sieve")):
+            def recording(*args, real=getattr(cli, name), method=method):
+                used.append(method)
+                return real(*args)
+            monkeypatch.setattr(cli, name, recording)
+        code, _, _ = run(capsys, "enumerate", *argv)
+        assert code == 0
+        assert used == [route]
+
 
 class TestCheck:
     @pytest.mark.parametrize("m,n,count", [
