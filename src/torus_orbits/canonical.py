@@ -111,9 +111,8 @@ def iter_canonical_indices(shape, start=0, stop=None):
     for r0 in range(start >> shift, ((stop - 1) >> shift) + 1):
         if not _necklace_at_least(r0, r0, n):
             continue
-        if m == 1:
-            if _word_is_canonical(r0, m, n, row_low):
-                yield r0
+        if m == 1:  # one row: a necklace is its orbit minimum
+            yield r0
             continue
         # an odometer, not recursion, so tall shapes keep a flat stack:
         # walks[d] yields row d + 1 under prefixes[d], the rows 0..d

@@ -15,7 +15,7 @@ from .canonical import iter_canonical_indices
 from .codec import MatrixShape
 from .counting import A179043, count_burnside
 from .errors import CapacityError
-from .formats import FORMATS, write_stream
+from .formats import FORMATS, write_words
 from .torus import (
     DEFAULT_BUDGET_BITS,
     check_exhaustive,
@@ -149,11 +149,10 @@ def cmd_enumerate(args):
     method = args.method or _enumerate_method(shape, args.limit)
     indices = _representative_indices(shape, method,
                                       args.memory_budget_bits, args.limit)
-    codes = (code_at_index(shape, w) for w in indices)
     sink = _replacing(args.out) if args.out else nullcontext(sys.stdout)
     with sink as out:
-        emitted = write_stream(
-            itertools.islice(codes, args.limit), args.fmt, out)
+        emitted = write_words(
+            shape, itertools.islice(indices, args.limit), args.fmt, out)
         exhausted = next(indices, None) is None
     summary = f"classes={emitted}" if exhausted else f"emitted={emitted}"
     print(summary, file=sys.stderr)

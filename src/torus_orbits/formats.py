@@ -3,49 +3,58 @@
 lines  - m rows of '0'/'1' characters per matrix, blank-line separated.
 pbm    - concatenated plain PBM images (magic P1, header "n m").
 jsonl  - one JSON record per matrix with the shape, row codes and rows.
+
+Each record is built straight from the matrix's linearized word: its
+n-bit rows are sliced out of the word and their text is made once per
+row value for rows of up to 16 bits, so no table outgrows 2^16 entries.
 """
 
-import json
+import functools
+import itertools
+
+from .codec import MatrixShape
+from .torus import tuple_index
 
 FORMATS = ("lines", "pbm", "jsonl")
 
 
-def row_strings(code):
-    n = code.shape.n
-    return [format(p, f"0{n}b") for p in code.rows]
-
-
-def lines_record(code):
-    return "\n".join(row_strings(code)) + "\n"
-
-
-def pbm_record(code):
-    shape = code.shape
-    header = f"P1\n{shape.n} {shape.m}\n"
-    body = "".join(" ".join(row) + "\n" for row in row_strings(code))
-    return header + body
-
-
-def jsonl_record(code):
-    record = {
-        "m": code.shape.m,
-        "n": code.shape.n,
-        "tuple": list(code.rows),
-        "rows": row_strings(code),
-    }
-    return json.dumps(record, separators=(",", ":")) + "\n"
+def write_words(shape, words, fmt, out):
+    """Write one record per linearized word; returns the number emitted."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    m, n = shape.m, shape.n
+    top = (1 << n) - 1
+    shifts = tuple(range(n * (m - 1), -1, -n))  # first row first
+    bits = f"0{n}b"
+    # Rows of at most 16 bits recur from record to record, so their text
+    # is cached. Under the budget only one-row shapes have wider rows in
+    # a full run, and there no row recurs, so a cache would only grow.
+    memo = functools.cache if n <= 16 else (lambda fill: fill)
+    count = 0
+    if fmt == "jsonl":
+        # the bytes of json.dumps(record, separators=(",", ":"))
+        head = f'{{"m":{m},"n":{n},"tuple":['
+        decimal = memo(repr)
+        quoted = memo(lambda p: f'"{p:{bits}}"')
+        for count, w in enumerate(words, 1):
+            rows = [(w >> s) & top for s in shifts]
+            out.write(f'{head}{",".join(map(decimal, rows))}],"rows":['
+                      f'{",".join(map(quoted, rows))}]}}\n')
+        return count
+    gap, head = (" ", f"P1\n{n} {m}\n") if fmt == "pbm" else ("", "")
+    line = memo(lambda p: gap.join(format(p, bits)) + "\n")
+    for count, w in enumerate(words, 1):
+        out.write(head + "".join([line((w >> s) & top) for s in shifts]))
+        if fmt == "lines":
+            head = "\n"  # a blank line between records
+    return count
 
 
 def write_stream(codes, fmt, out):
-    """Write records one at a time; returns the number emitted."""
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}")
-    record = {"lines": lines_record, "pbm": pbm_record,
-              "jsonl": jsonl_record}[fmt]
-    count = 0
-    for code in codes:
-        if fmt == "lines" and count:
-            out.write("\n")
-        out.write(record(code))
-        count += 1
-    return count
+    """write_words for TupleCodes, all of one shape."""
+    codes = iter(codes)
+    first = next(codes, None)
+    if first is None:
+        return write_words(MatrixShape(1, 1), (), fmt, out)
+    words = map(tuple_index, itertools.chain((first,), codes))
+    return write_words(first.shape, words, fmt, out)

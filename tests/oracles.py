@@ -2,9 +2,11 @@
 
 Everything here works on plain grids (tuples of tuples of bits) or row
 tuples with its own arithmetic, deliberately not reusing the package's
-word-level tricks.
+word-level tricks. The record builders format each code through
+json.dumps and per-row format(), not from the word.
 """
 
+import json
 from math import gcd, lcm
 
 
@@ -121,3 +123,40 @@ def translation_burnside_count(m, n):
             total += 1 << translation_cycle_count(i, j, m, n)
     assert total % (m * n) == 0
     return total // (m * n)
+
+
+def row_strings(code):
+    n = code.shape.n
+    return [format(p, f"0{n}b") for p in code.rows]
+
+
+def lines_record(code):
+    return "\n".join(row_strings(code)) + "\n"
+
+
+def pbm_record(code):
+    shape = code.shape
+    header = f"P1\n{shape.n} {shape.m}\n"
+    body = "".join(" ".join(row) + "\n" for row in row_strings(code))
+    return header + body
+
+
+def jsonl_record(code):
+    record = {
+        "m": code.shape.m,
+        "n": code.shape.n,
+        "tuple": list(code.rows),
+        "rows": row_strings(code),
+    }
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+RECORDS = {"lines": lines_record, "pbm": pbm_record, "jsonl": jsonl_record}
+
+
+def stream(codes, fmt):
+    """A format's whole output for codes, one record at a time through
+    json.dumps and per-row format(); lines records are blank-line
+    separated."""
+    sep = "\n" if fmt == "lines" else ""
+    return sep.join(RECORDS[fmt](code) for code in codes)

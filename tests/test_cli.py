@@ -6,7 +6,10 @@ import time
 
 import pytest
 
-from torus_orbits import MatrixShape, cli, count_burnside
+from torus_orbits import MatrixShape, TupleCode, cli, count_burnside
+from torus_orbits.formats import FORMATS
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -241,19 +244,22 @@ class TestEnumerate:
             [[0] * 8, [0] * 7 + [1], [0] * 7 + [3]]
         assert "emitted=3" in err
 
+    @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("m,n,tuples", [
-        ("1", "64", [[0], [1], [3]]),
-        ("2", "40", [[0, 0], [0, 1], [0, 3]]),
+        ("1", "64", [(0,), (1,), (3,)]),
+        ("2", "40", [(0, 0), (0, 1), (0, 3)]),
     ])
-    def test_filter_limit_on_wide_shapes(self, m, n, tuples):
-        # a subprocess with a timeout: a table of 2^n rows cannot pass
+    def test_filter_limit_on_wide_shapes(self, m, n, tuples, fmt):
+        # a subprocess with a timeout: a table of 2^n rows, of the filter
+        # or of any format, cannot pass
         proc = subprocess.run(
             [sys.executable, "-m", "torus_orbits.cli", "enumerate", m, n,
-             "--method", "filter", "--limit", "3", "--format", "jsonl"],
+             "--method", "filter", "--limit", "3", "--format", fmt],
             capture_output=True, text=True, timeout=10)
         assert proc.returncode == 0
-        records = [json.loads(line) for line in proc.stdout.splitlines()]
-        assert [r["tuple"] for r in records] == tuples
+        shape = MatrixShape(int(m), int(n))
+        codes = [TupleCode(rows, shape) for rows in tuples]
+        assert proc.stdout == oracles.stream(codes, fmt)
         assert proc.stderr.endswith("emitted=3\n")
 
     def test_filter_limit_on_tall_shape(self):

@@ -1,29 +1,49 @@
 import io
 import json
+import os
+import tracemalloc
 
 import pytest
 
-from torus_orbits import MatrixShape, TupleCode
-from torus_orbits.formats import (
-    jsonl_record,
-    lines_record,
-    pbm_record,
-    write_stream,
+from torus_orbits import (
+    MatrixShape,
+    TupleCode,
+    code_at_index,
+    iter_representative_indices,
+    tuple_index,
 )
+from torus_orbits.formats import FORMATS, write_stream, write_words
+
+import oracles
 
 CODE = TupleCode((5, 1), MatrixShape(2, 3))
 
 
+def words_text(shape, words, fmt):
+    out = io.StringIO()
+    count = write_words(shape, words, fmt, out)
+    assert count == len(words)
+    return out.getvalue()
+
+
+def stream_text(codes, fmt):
+    out = io.StringIO()
+    assert write_stream(codes, fmt, out) == len(codes)
+    return out.getvalue()
+
+
 def test_lines_record():
-    assert lines_record(CODE) == "101\n001\n"
+    assert words_text(CODE.shape, [tuple_index(CODE)], "lines") == \
+        "101\n001\n"
 
 
 def test_pbm_record():
-    assert pbm_record(CODE) == "P1\n3 2\n1 0 1\n0 0 1\n"
+    assert words_text(CODE.shape, [tuple_index(CODE)], "pbm") == \
+        "P1\n3 2\n1 0 1\n0 0 1\n"
 
 
 def test_jsonl_record_roundtrip():
-    record = json.loads(jsonl_record(CODE))
+    record = json.loads(words_text(CODE.shape, [tuple_index(CODE)], "jsonl"))
     assert record == {"m": 2, "n": 3, "tuple": [5, 1],
                       "rows": ["101", "001"]}
     # re-encoding the rows reproduces the tuple field exactly
@@ -31,19 +51,72 @@ def test_jsonl_record_roundtrip():
 
 
 def test_lines_stream_blank_line_separated():
-    out = io.StringIO()
     codes = [TupleCode((0,), MatrixShape(1, 1)),
              TupleCode((1,), MatrixShape(1, 1))]
-    assert write_stream(codes, "lines", out) == 2
-    assert out.getvalue() == "0\n\n1\n"
+    assert stream_text(codes, "lines") == "0\n\n1\n"
+    assert words_text(MatrixShape(1, 1), [0, 1], "lines") == "0\n\n1\n"
 
 
 def test_pbm_stream_concatenates():
-    out = io.StringIO()
-    write_stream([CODE, CODE], "pbm", out)
-    assert out.getvalue() == pbm_record(CODE) * 2
+    assert stream_text([CODE, CODE], "pbm") == oracles.pbm_record(CODE) * 2
 
 
 def test_unknown_format():
     with pytest.raises(ValueError):
         write_stream([], "png", io.StringIO())
+    with pytest.raises(ValueError):
+        write_words(CODE.shape, [], "png", io.StringIO())
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_no_words_no_output(fmt):
+    assert words_text(MatrixShape(3, 3), [], fmt) == ""
+    assert stream_text([], fmt) == ""
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_wide_rows_match_the_oracle(fmt):
+    # rows past 2^53, and leading zeros to pad, in every record
+    shape = MatrixShape(2, 64)
+    codes = [TupleCode(rows, shape) for rows in
+             ((0, 1), (1, (1 << 64) - 1), ((1 << 63) | 5, 1 << 62))]
+    assert words_text(shape, [tuple_index(c) for c in codes], fmt) == \
+        oracles.stream(codes, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_distinct_wide_rows_are_not_kept(fmt):
+    # a one-row shape's rows never recur, so a full run must not keep
+    # the text of each one: memory would grow with the output
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as out:
+            write_words(MatrixShape(1, 24), range(50_000), fmt, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def assert_same_text(got, expected, label):
+    # the first differing line, not a diff of thousands of lines
+    if got != expected:
+        pairs = zip(got.splitlines(), expected.splitlines())
+        first = next(((i, g, e) for i, (g, e) in enumerate(pairs) if g != e),
+                     "none; the lengths differ")
+        pytest.fail(f"{label}: first differing line: {first}")
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 21)
+                                 for n in range(1, 21) if m * n <= 20])
+def test_matches_the_oracle_on_small_shapes(m, n):
+    # byte for byte, on every class of the shape, by words and by codes
+    shape = MatrixShape(m, n)
+    words = list(iter_representative_indices(shape))
+    codes = [code_at_index(shape, w) for w in words]
+    for fmt in FORMATS:
+        expected = oracles.stream(codes, fmt)
+        assert_same_text(words_text(shape, words, fmt), expected,
+                         f"write_words {fmt}")
+        assert_same_text(stream_text(codes, fmt), expected,
+                         f"write_stream {fmt}")
