@@ -28,6 +28,12 @@ EXIT_MISMATCH_OR_IO = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
+# At most 617 digits, under the least nonzero int-to-str digit limit
+# Python accepts (640), so str() never refuses such a value.
+_STR_BITS = 2048
+# Pieces this small go straight to a Decimal.
+_BASE_BITS = 128
+
 
 def _positive_int(text):
     value = int(text)
@@ -104,15 +110,44 @@ def _enumerate_method(shape, limit):
 
 
 def _decimal(value):
-    """str(value) with Python's int-to-str digit limit lifted meanwhile."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # no limit to lift
+    """The decimal digits of a count (an int >= 0) of any size.
+
+    Before Python 3.12, str() of an int is quadratic in its length, and
+    it refuses an int beyond the process's int-to-str digit limit. So a
+    value above _STR_BITS is built up as a decimal.Decimal from its
+    binary halves, lo + hi * 2**w, whose products libmpdec forms by a
+    number-theoretic transform, and the Decimal, which has no digit
+    limit, is printed. This is CPython 3.12's
+    _pylong.int_to_decimal_string.
+    """
+    if value.bit_length() <= _STR_BITS:
         return str(value)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    import decimal  # here, so small counts never load it
+
+    D = decimal.Decimal
+    powers = {}  # w -> D(2)**w, for this call only
+
+    def power(w):
+        if w not in powers:
+            half = w >> 1
+            powers[w] = (D(2) ** w if w <= _BASE_BITS
+                         else power(half) * power(w - half))
+        return powers[w]
+
+    def convert(n, w):  # n < 2**w
+        if w <= _BASE_BITS:
+            return D(n)
+        half = w >> 1
+        hi = n >> half
+        return (convert(n - (hi << half), half)
+                + convert(hi, w - half) * power(half))
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True  # every step must be exact
+        return str(convert(value, value.bit_length()))
 
 
 @contextmanager

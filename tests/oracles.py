@@ -7,6 +7,8 @@ json.dumps and per-row format(), not from the word.
 """
 
 import json
+import sys
+from contextlib import contextmanager
 from math import gcd, lcm
 
 
@@ -123,6 +125,43 @@ def translation_burnside_count(m, n):
             total += 1 << translation_cycle_count(i, j, m, n)
     assert total % (m * n) == 0
     return total // (m * n)
+
+
+def burnside_count_mod(m, n, modulus):
+    """Burnside's count mod `modulus`, with no big integer.
+
+    The divisor-pair sum, with divisors and phi found by brute force, is
+    taken mod m*n*modulus; as m*n divides the sum, dividing the residue
+    by m*n leaves the count mod `modulus`.
+    """
+    def divisors(k):
+        return [d for d in range(1, k + 1) if k % d == 0]
+
+    def phi(k):
+        return sum(1 for i in range(1, k + 1) if gcd(i, k) == 1)
+
+    big = m * n * modulus
+    total = sum(phi(a) * phi(b) * pow(2, m * n // lcm(a, b), big)
+                for a in divisors(m) for b in divisors(n)) % big
+    assert total % (m * n) == 0
+    return total // (m * n)
+
+
+@contextmanager
+def int_max_str_digits(limit):
+    """Python's int-to-str digit limit set to `limit` (0: none) meanwhile."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def decimal_string(value):
+    """str(value), with no digit limit."""
+    with int_max_str_digits(0):
+        return str(value)
 
 
 def row_strings(code):

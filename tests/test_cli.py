@@ -1,10 +1,13 @@
 import json
+import math
+import os
 import signal
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torus_orbits import MatrixShape, TupleCode, cli, count_burnside
 from torus_orbits.formats import FORMATS
@@ -56,19 +59,46 @@ class TestCount:
         assert code == 0
         assert out.strip() == "288230376353050816"
 
-    def test_count_beyond_str_digit_limit(self, capsys):
-        # 6770 digits, above Python's default 4300-digit str() limit
-        value = count_burnside(MatrixShape(150, 150)).value
+    def test_count_beyond_str_digit_limit(self, capsys, monkeypatch):
+        # 6769 digits, above Python's default 4300-digit str() limit
+        expected = oracles.decimal_string(
+            count_burnside(MatrixShape(150, 150)).value)
+        limit = sys.get_int_max_str_digits()
+        lifts = []
+        monkeypatch.setattr(sys, "set_int_max_str_digits", lifts.append)
         code, out, _ = run(capsys, "count", "150", "150")
         assert code == 0
-        with pytest.raises(ValueError):
-            str(value)  # the CLI lifts the limit only while it prints
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            assert out == f"{value}\n"
-        finally:
-            sys.set_int_max_str_digits(limit)
+        assert out == expected + "\n"
+        assert lifts == []  # the CLI never touches the limit
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("m,n,digits", [
+        (45, 45, 607),  # 2015 bits: printed by str()
+        (150, 150, 6769),  # printed through decimal
+    ])
+    def test_count_under_least_digit_limit(self, m, n, digits):
+        proc = subprocess.run(
+            [sys.executable, "-m", "torus_orbits.cli", "count", str(m),
+             str(n)],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONINTMAXSTRDIGITS": "640"})
+        assert proc.returncode == 0, proc.stderr
+        expected = oracles.decimal_string(
+            count_burnside(MatrixShape(m, n)).value)
+        assert len(expected) == digits
+        assert proc.stdout == expected + "\n"
+
+    def test_small_counts_never_load_decimal(self):
+        # decimal is imported only for counts above 2048 bits, so
+        # start-up and the filter's counts do not pay for it
+        script = ("import sys; from torus_orbits import cli; "
+                  "cli.main(['count', '3', '3']); "
+                  "cli.main(['count', '4', '6', '--method', 'filter']); "
+                  "print('decimal' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "64\n699600\nFalse\n"
 
     def test_sieve_capacity(self, capsys):
         code, _, err = run(capsys, "count", "8", "8", "--method", "sieve")
@@ -123,6 +153,75 @@ class TestCount:
         digits = proc.stdout.strip()
         assert len(digits) == 307682
         assert digits.endswith("33567967855767413632")
+
+    def test_huge_count_prints_in_time(self):
+        # str() of this count takes about 25 s on Python 3.11 (2-vCPU
+        # box); halving it through decimal takes under a second
+        proc = subprocess.run(
+            [sys.executable, "-m", "torus_orbits.cli", "count", "2000",
+             "2000"],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0
+        digits = proc.stdout.strip()
+        assert len(digits) == 1204114
+        low = oracles.burnside_count_mod(2000, 2000, 10 ** 20)
+        assert digits.endswith(f"{low:020d}")
+
+
+# widths at the str() threshold and at the base size of the decimal
+# route's halving and its doublings, each with its neighbours
+EDGE_WIDTHS = sorted({w + d for w in (cli._STR_BITS,
+                                      *(cli._BASE_BITS << j
+                                        for j in range(10)))
+                      for d in (-1, 0, 1)})
+
+
+def edge_forms(w):
+    """0, 1, 2^w, 2^w - 1, and 10^k - 1, 10^k + 1 for the k with
+    10^k < 2^w < 10^(k + 1) and for k + 1.
+
+    The zeros inside 10^k + 1 fall in the low halves, where a dropped
+    leading zero would show.
+    """
+    k = int(w * math.log10(2))
+    return [0, 1, 1 << w, (1 << w) - 1,
+            *(10 ** j + d for j in (k, k + 1) for d in (-1, 1))]
+
+
+@st.composite
+def counts(draw):
+    w = draw(st.sampled_from(EDGE_WIDTHS)
+             | st.integers(min_value=1, max_value=300_000))
+    return draw(st.sampled_from(edge_forms(w))
+                | st.integers(1 << (w - 1), (1 << w) - 1))
+
+
+def decimal_under_least_limit(value):
+    # 640 is the least nonzero int-to-str limit Python accepts
+    with oracles.int_max_str_digits(640):
+        return cli._decimal(value)
+
+
+class TestDecimal:
+    @settings(max_examples=300, deadline=None)
+    @given(counts())
+    def test_matches_str(self, value):
+        assert decimal_under_least_limit(value) == \
+            oracles.decimal_string(value)
+
+    def test_edge_forms_match_str(self):
+        for w in EDGE_WIDTHS:
+            for value in edge_forms(w):
+                assert decimal_under_least_limit(value) == \
+                    oracles.decimal_string(value), (w, value)
+
+    @pytest.mark.parametrize("m,n", [
+        (12, 12), (64, 64), (300, 300), (509, 521), (720, 720),
+    ])
+    def test_bench_counts_match_str(self, m, n):
+        value = count_burnside(MatrixShape(m, n)).value
+        assert decimal_under_least_limit(value) == \
+            oracles.decimal_string(value)
 
 
 class TestEnumerate:

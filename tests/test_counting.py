@@ -100,3 +100,10 @@ class TestBruteforce:
     ])
     def test_small_counts(self, m, n, expected):
         assert oracles.orbit_partition_count(m, n) == expected
+
+    def test_low_digits_by_modular_sum(self):
+        # the oracle for the last digits of counts too long to sum here
+        for m in range(1, 25):
+            for n in range(1, 25):
+                assert oracles.burnside_count_mod(m, n, 10 ** 20) == \
+                    oracles.translation_burnside_count(m, n) % 10 ** 20
