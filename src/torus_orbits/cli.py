@@ -17,7 +17,6 @@ from .counting import A179043, count_burnside
 from .errors import CapacityError
 from .formats import FORMATS, write_words
 from .torus import (
-    DEFAULT_BUDGET_BITS,
     check_exhaustive,
     code_at_index,
     iter_representative_indices,
@@ -73,11 +72,6 @@ def _build_parser():
     p_enum.add_argument("--limit", type=_positive_int, default=None,
                         help="emit at most this many representatives")
 
-    for p in (p_count, p_enum):
-        p.add_argument("--memory-budget-bits", type=_positive_int,
-                       default=DEFAULT_BUDGET_BITS,
-                       help="codes an exhaustive sieve/filter scan may walk")
-
     p_check = sub.add_parser("check",
                              help="cross-verify all counting methods")
     add_shape_args(p_check)
@@ -89,11 +83,12 @@ def _build_parser():
     return parser
 
 
-def _representative_indices(shape, method, budget_bits, limit=None):
+def _representative_indices(shape, method, limit=None):
+    # refuse before --out is opened, which for a FIFO waits for a reader
+    if method == "sieve" or limit is None:  # --limit bounds the filter's work
+        check_exhaustive(shape)
     if method == "sieve":
-        return iter_representative_indices(shape, budget_bits)
-    if limit is None:  # --limit bounds the filter's work
-        check_exhaustive(shape, budget_bits)
+        return iter_representative_indices(shape)
     return iter_canonical_indices(shape)
 
 
@@ -151,11 +146,21 @@ def _decimal(value):
 
 
 @contextmanager
-def _replacing(path):
-    """Write to path + ".part"; move it onto path only if the block succeeds.
+def _output(path):
+    """Open the --out path for writing, as a context manager.
 
-    A failed run leaves no partial file and an existing path untouched.
+    A FIFO, a device or anything else but a regular file is written
+    straight into, as standard output is ("" too: open() refuses it). A
+    regular file, or a symlink's target, is written as path + ".part" and
+    moved onto it only if the block succeeds, so a failed run leaves no
+    partial file and an existing file untouched.
     """
+    if not path or (os.path.exists(path) and not os.path.isfile(path)):
+        with open(path, "w") as out:
+            yield out
+        return
+    if os.path.islink(path):
+        path = os.path.realpath(path)
     part = path + ".part"
     out = open(part, "w")
     try:
@@ -173,8 +178,7 @@ def cmd_count(args):
     if args.method == "burnside":
         value = count_burnside(shape).value
     else:
-        value = sum(1 for _ in _representative_indices(
-            shape, args.method, args.memory_budget_bits))
+        value = sum(1 for _ in _representative_indices(shape, args.method))
     print(_decimal(value))
     return EXIT_OK
 
@@ -182,9 +186,8 @@ def cmd_count(args):
 def cmd_enumerate(args):
     shape = MatrixShape(args.m, args.n)
     method = args.method or _enumerate_method(shape, args.limit)
-    indices = _representative_indices(shape, method,
-                                      args.memory_budget_bits, args.limit)
-    sink = _replacing(args.out) if args.out else nullcontext(sys.stdout)
+    indices = _representative_indices(shape, method, args.limit)
+    sink = nullcontext(sys.stdout) if args.out is None else _output(args.out)
     with sink as out:
         emitted = write_words(
             shape, itertools.islice(indices, args.limit), args.fmt, out)
@@ -196,11 +199,11 @@ def cmd_enumerate(args):
 
 def cmd_check(args):
     shape = MatrixShape(args.m, args.n)
-    # both exhaustive routes run, so at most 20 cells; they go first, so
-    # a huge shape fails their guard with the hint, not inside Burnside
-    budget = 1 << 20
-    sieve_indices = list(_representative_indices(shape, "sieve", budget))
-    filter_indices = list(_representative_indices(shape, "filter", budget))
+    # both exhaustive routes run, so at most 20 cells; the guard goes
+    # first, so a huge shape fails it with the hint, not inside Burnside
+    check_exhaustive(shape, 1 << 20)
+    sieve_indices = list(iter_representative_indices(shape))
+    filter_indices = list(iter_canonical_indices(shape))
     counts = {"burnside": count_burnside(shape).value,
               "sieve": len(sieve_indices),
               "filter": len(filter_indices)}

@@ -6,7 +6,7 @@ class RangeError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A computation would exceed its configured memory or size budget."""
+    """A scan would exceed its fixed code limit, or the host's memory."""
 
 
 class InternalError(RuntimeError):

@@ -11,7 +11,7 @@ n-bit field independently.
 from .codec import TupleCode
 from .errors import CapacityError, RangeError
 
-DEFAULT_BUDGET_BITS = 1 << 33  # codes per full scan: 1 GiB of sieve marks
+SCAN_BUDGET = 1 << 33  # codes per exhaustive scan: 1 GiB of sieve marks
 
 
 def tuple_index(code):
@@ -66,32 +66,30 @@ def orbit_words(w, m, n, row_low):
         wr = ((wr & last_row) << row_shift) | (wr >> n)
 
 
-def check_exhaustive(shape, memory_budget_bits):
-    """Refuse a scan of the whole ground set beyond memory_budget_bits codes.
+def check_exhaustive(shape, budget=SCAN_BUDGET):
+    """Refuse a scan of the whole ground set beyond budget codes.
 
     The sieve walks all 2^(m*n) codes and keeps one visited bit per
-    code; the filter tests at most that many.
+    code; the filter tests at most that many. The budget is SCAN_BUDGET
+    (33 cells), or 2^20 (20 cells) for `check`, which runs both.
     """
     # 2^cells > budget, without building 2^cells for a huge shape
-    if shape.cells >= memory_budget_bits.bit_length():
-        raise CapacityError(
-            f"2^{shape.cells} codes exceed the "
-            f"{memory_budget_bits}-code budget of an exhaustive scan"
-        )
+    if shape.cells >= budget.bit_length():
+        raise CapacityError(f"2^{shape.cells} codes exceed the {budget}-code "
+                            "budget of an exhaustive scan")
 
 
 class VisitedStore:
     """One bit per code of the ground set, in one flat bytearray."""
 
-    def __init__(self, shape, memory_budget_bits=DEFAULT_BUDGET_BITS):
-        check_exhaustive(shape, memory_budget_bits)
+    def __init__(self, shape):
+        check_exhaustive(shape)
         total = 1 << shape.cells
         try:
             self.bits = bytearray((total + 7) >> 3)
-        except (MemoryError, OverflowError):
-            raise CapacityError(
-                f"cannot allocate the 2^{shape.cells}-bit visited store"
-            ) from None
+        except MemoryError:
+            raise CapacityError(f"cannot allocate the 2^{shape.cells}-bit "
+                                "visited store") from None
         if total & 7:
             # spare bits of the last byte must never read as unvisited
             self.bits[-1] |= 0xFF & ~((1 << (total & 7)) - 1)
@@ -101,7 +99,7 @@ class VisitedStore:
         return len(self.bits)
 
 
-def iter_representative_indices(shape, memory_budget_bits=DEFAULT_BUDGET_BITS):
+def iter_representative_indices(shape):
     """Yield the linearized index of each class minimum, ascending.
 
     One lexicographic pass over the visited store: each zero bit is a
@@ -110,7 +108,7 @@ def iter_representative_indices(shape, memory_budget_bits=DEFAULT_BUDGET_BITS):
     lies below its minimum, so every mark lands at or ahead of the pass.
     """
     m, n = shape.m, shape.n
-    visited = VisitedStore(shape, memory_budget_bits).bits
+    visited = VisitedStore(shape).bits
     row_low = row_low_mask(m, n)
     bit = (1, 2, 4, 8, 16, 32, 64, 128)
     for cursor, b in enumerate(visited):
@@ -122,9 +120,7 @@ def iter_representative_indices(shape, memory_budget_bits=DEFAULT_BUDGET_BITS):
             b = visited[cursor]
 
 
-def enumerate_torus(shape, memory_budget_bits=DEFAULT_BUDGET_BITS):
+def enumerate_torus(shape):
     """All class representatives as a tuple of codes, ascending."""
-    return tuple(
-        code_at_index(shape, w)
-        for w in iter_representative_indices(shape, memory_budget_bits)
-    )
+    return tuple(code_at_index(shape, w)
+                 for w in iter_representative_indices(shape))

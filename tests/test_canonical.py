@@ -9,8 +9,8 @@ from torus_orbits import (
     RangeError,
     TupleCode,
     code_at_index,
-    enumerate_torus,
     iter_canonical_indices,
+    iter_representative_indices,
     tuple_index,
 )
 from torus_orbits import canonical
@@ -57,8 +57,7 @@ SHAPES_UP_TO_20_CELLS = [(m, n) for m in range(1, 21) for n in range(1, 21)
 
 @functools.cache
 def _sieve_words(m, n):
-    shape = MatrixShape(m, n)
-    return [tuple_index(c) for c in enumerate_torus(shape)]
+    return list(iter_representative_indices(MatrixShape(m, n)))
 
 
 def sieve_words(m, n, start=0, stop=None):

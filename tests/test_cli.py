@@ -5,14 +5,17 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torus_orbits import MatrixShape, TupleCode, cli, count_burnside
+from torus_orbits import MatrixShape, TupleCode, cli, count_burnside, torus
 from torus_orbits.formats import FORMATS
 
 import oracles
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -105,14 +108,15 @@ class TestCount:
         assert code == 3
         assert "--method burnside" in err
 
-    @pytest.mark.parametrize("m,n,budget", [
-        ("7", "9", str(1 << 63)),  # 2^60 bytes: beyond any address space
-        ("9", "9", str(1 << 81)),  # beyond a bytearray's index range
-    ])
-    def test_store_allocation_failure(self, capsys, m, n, budget):
-        code, _, err = run(capsys, "count", m, n, "--method", "sieve",
-                           "--memory-budget-bits", budget)
+    def test_store_allocation_failure(self, capsys, monkeypatch):
+        def refusing(size):
+            raise MemoryError
+
+        # the visited store's bytearray, as on a host short of 4 MiB
+        monkeypatch.setattr(torus, "bytearray", refusing, raising=False)
+        code, _, err = run(capsys, "count", "5", "5", "--method", "sieve")
         assert code == 3
+        assert "cannot allocate the 2^25-bit visited store" in err
         assert "--method burnside" in err
 
     @pytest.mark.parametrize("argv", [
@@ -274,6 +278,47 @@ class TestEnumerate:
         assert "classes=7" in err
         assert path.read_text().count("\n\n") == 6
         assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_out_fifo(self, capsys, tmp_path):
+        # written straight into, not replaced by a regular file
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, err = run(capsys, "enumerate", "3", "3",
+                                 "--format", "jsonl", "--out", str(path))
+            data = b"".join(iter(lambda: os.read(reader, 1 << 16), b""))
+        finally:
+            os.close(reader)
+        assert (code, out, err) == (0, "", "classes=64\n")
+        # 3,648 bytes: within a pipe's buffer, so the write cannot block
+        assert data == (GOLDEN_DIR / "shape_3x3.jsonl").read_bytes()
+        assert path.is_fifo()
+        assert sorted(tmp_path.iterdir()) == [path]
+        # with no reader, opening the FIFO would wait: a refusal comes first
+        proc = subprocess.run(
+            [sys.executable, "-m", "torus_orbits.cli", "enumerate", "8", "8",
+             "--method", "sieve", "--out", str(path)],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 3
+
+    def test_out_symlink(self, capsys, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_text("old")
+        link.symlink_to(target.name)
+        code, _, _ = run(capsys, "enumerate", "2", "2", "--out", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert target.read_text().count("\n\n") == 6
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_out_empty_path(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "enumerate", "2", "2", "--out", "")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("I/O error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_out_io_failure(self, capsys, tmp_path):
         code, _, err = run(capsys, "enumerate", "2", "2",
@@ -485,6 +530,8 @@ class TestUsageErrors:
         ("enumerate", "2", "2", "--method", "burnside"),
         ("nonsense",),
         ("check", "2", "2", "--memory-budget-bits", "8"),
+        ("count", "2", "2", "--memory-budget-bits", "8"),
+        ("enumerate", "2", "2", "--memory-budget-bits", "8"),
     ])
     def test_exit_2(self, capsys, argv):
         assert cli.main(list(argv)) == 2

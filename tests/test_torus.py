@@ -102,8 +102,9 @@ class TestOrbitVisits:
 
 class TestVisitedStore:
     def test_budget(self):
-        with pytest.raises(CapacityError):
-            VisitedStore(MatrixShape(4, 4), memory_budget_bits=1 << 10)
+        # 34 cells: refused before any allocation
+        with pytest.raises(CapacityError, match="8589934592-code budget"):
+            VisitedStore(MatrixShape(2, 17))
 
 
 class TestEnumerateTorus:
@@ -119,7 +120,7 @@ class TestEnumerateTorus:
 
     def test_budget_error(self):
         with pytest.raises(CapacityError):
-            enumerate_torus(MatrixShape(5, 5), memory_budget_bits=1 << 20)
+            enumerate_torus(MatrixShape(2, 17))
 
     @pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 3), (2, 5), (3, 4)])
     def test_partition_soundness(self, m, n):
