@@ -7,81 +7,102 @@ own rotations), and every row's necklace is at least r0, since a row
 rotation and a column rotation can bring any rotation of any row to
 the top. So the test runs on the words whose top row is a necklace and
 whose other rows have necklaces no lower than it, in ascending order.
+
+Nor does the test try every rotation. The move (i, j), row i to the
+top and its columns right-rotated by j, puts rot_j(p_i) on top, where
+p_i is row i, and on a tested word that row is at least r0. Where it is
+above r0, the moved word is above w whatever its other rows, so only
+the moves with rot_j(p_i) == r0 can give a word below w. Only those
+are built, each in one step, and compared with w; a row whose necklace
+is above r0 has none.
 """
+
+import functools
 
 from .errors import RangeError
 from .torus import row_low_mask
 
 
-def _word_is_canonical(w, m, n, row_low):
-    # inlined orbit_words: via the generator, filter 4x5 took 1.67 s not 1.15
-    col_shift = n - 1
-    last_row = (1 << n) - 1
-    row_shift = n * (m - 1)
-    wr = w
-    for _ in range(m):
-        x = wr
-        for _ in range(n):
-            low = x & row_low
-            x = ((x ^ low) >> 1) | (low << col_shift)
-            if x < w:
+def _word_is_canonical(w, moves, full):
+    """Whether no move in moves gives a word below w.
+
+    moves is a linked list, (move, moves) or (). A move is the shifts
+    (a, b) of the row rotation that puts some row on top, and cols, the
+    column rotations that turn that row into r0.
+    """
+    while moves:
+        (a, b, cols), moves = moves
+        x = ((w << a) & full) | (w >> b)
+        for j, keep, low, k in cols:
+            if ((x >> j) & keep) | ((x & low) << k) < w:
                 return False
-        wr = ((wr & last_row) << row_shift) | (wr >> n)
-        if wr < w:
-            return False
     return True
 
 
-def _necklace_at_least(p, bound, n):
-    """Whether every rotation of the n-bit row p is at least bound."""
-    if p < bound:
-        return False
+def _necklace_at_least(p, r0, n):
+    """The offsets j in [0, n) whose right rotation of the n-bit row p
+    is r0, ascending; None if some rotation of p is below r0."""
+    if p < r0:
+        return None
     col_shift = n - 1
+    offsets = (0,) if p == r0 else ()
     x = p
-    for _ in range(col_shift):
+    for j in range(1, n):
         x = (x >> 1) | ((x & 1) << col_shift)
-        if x < bound:
-            return False
-    return True
+        if x <= r0:
+            if x < r0:
+                return None
+            offsets += (j,)
+    return offsets
 
 
 class _RowsUnder:
     """The rows that may lie under top row r0: those whose necklace is >= r0.
 
-    Every such row is at least r0. The rows are found as walks from r0
-    first reach them and kept, since the rows under the second are walked
-    again for every prefix; nothing beyond the furthest walk is held.
+    Every such row is at least r0. Each is yielded as (p, offsets), its
+    offsets as _necklace_at_least gives them. The rows are found as walks
+    from r0 first reach them and kept, since the rows under the second
+    are walked again for every prefix; nothing beyond the furthest walk
+    is held.
     """
 
     def __init__(self, r0, n):
         self.r0 = r0
         self.n = n
-        self.found = []  # every such row in [r0, self.untested)
+        self.top = (1 << n) - 1
+        self.found = []  # every such row in [r0, self.untested), with offsets
         self.untested = r0
 
     def walk(self, lo, hi):
         """The rows in [max(lo, r0), hi], ascending."""
+        if lo <= self.r0 and hi == self.top < self.untested:
+            return iter(self.found)  # all found: most walks of a full run
+        return self._walk(lo, hi)
+
+    def _walk(self, lo, hi):
         r0, n, found = self.r0, self.n, self.found
         if lo > r0:  # a seek to a range's start: walked once, so not kept
             for p in range(lo, hi + 1):
-                if _necklace_at_least(p, r0, n):
-                    yield p
+                offsets = _necklace_at_least(p, r0, n)
+                if offsets is not None:
+                    yield p, offsets
             return
         i = 0
         while True:
             if i == len(found):  # past the rows found so far: find one more
                 p = self.untested
-                while p <= hi and not _necklace_at_least(p, r0, n):
+                while (p <= hi
+                       and (offsets := _necklace_at_least(p, r0, n)) is None):
                     p += 1
                 if p > hi:
                     self.untested = p
                     return
-                found.append(p)
+                found.append((p, offsets))
                 self.untested = p + 1
-            p = found[i]
-            if p > hi:
+            row = found[i]
+            if row[0] > hi:
                 return
-            yield p
+            yield row
             i += 1
 
 
@@ -97,8 +118,16 @@ def iter_canonical_indices(shape, start=0, stop=None):
         raise RangeError(f"interval [{start}, {stop}) outside [0, {total})")
     m, n = shape.m, shape.n
     row_low = row_low_mask(m, n)
+    full = total - 1
     top = (1 << n) - 1
     last = m - 1
+
+    @functools.cache
+    def move(i, offsets):
+        # the moves that put row i on top, turned by each offset into r0
+        return n * i, n * (m - i), tuple(
+            (j, row_low * ((1 << (n - j)) - 1), row_low * ((1 << j) - 1),
+             n - j) for j in offsets)
 
     def walk(rows, prefix, depth):
         # the rows at depth that keep a word under prefix in [start, stop)
@@ -109,30 +138,37 @@ def iter_canonical_indices(shape, start=0, stop=None):
 
     shift = n * last
     for r0 in range(start >> shift, ((stop - 1) >> shift) + 1):
-        if not _necklace_at_least(r0, r0, n):
+        offsets = _necklace_at_least(r0, r0, n)
+        if offsets is None:
             continue
         if m == 1:  # one row: a necklace is its orbit minimum
             yield r0
             continue
         # an odometer, not recursion, so tall shapes keep a flat stack:
-        # walks[d] yields row d + 1 under prefixes[d], the rows 0..d
+        # walks[d] yields row d + 1 under stack[d], the word of rows 0..d
+        # and the moves of those rows, less the identity (row 0, offset 0)
         rows = _RowsUnder(r0, n)
-        prefixes = [r0]
+        stack = [(r0, (move(0, offsets[1:]), ()) if offsets[1:] else ())]
         walks = [walk(rows, r0, 1)]
         while walks:
             depth = len(walks)
+            prefix, moves = stack[-1]
             if depth == last:
-                prefix = prefixes[-1] << n
-                for p in walks[-1]:
-                    w = prefix | p
-                    if _word_is_canonical(w, m, n, row_low):
-                        yield w
+                prefix <<= n
+                for p, offsets in walks[-1]:
+                    if _word_is_canonical(
+                            prefix | p,
+                            (move(last, offsets), moves) if offsets else moves,
+                            full):
+                        yield prefix | p
             else:
-                p = next(walks[-1], None)
-                if p is not None:
-                    w = (prefixes[-1] << n) | p
-                    prefixes.append(w)
+                row = next(walks[-1], None)
+                if row is not None:
+                    p, offsets = row
+                    w = (prefix << n) | p
+                    stack.append((w, (move(depth, offsets), moves)
+                                  if offsets else moves))
                     walks.append(walk(rows, w, depth + 1))
                     continue
             walks.pop()
-            prefixes.pop()
+            stack.pop()

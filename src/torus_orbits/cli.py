@@ -8,6 +8,7 @@ interrupted (SIGINT, as from Ctrl-C).
 import argparse
 import itertools
 import os
+import stat
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 
@@ -64,7 +65,7 @@ def _build_parser():
     p_enum.add_argument("--method", choices=("sieve", "filter"),
                         default=None,
                         help="default: the filter, but the sieve for a "
-                             "full run on one row or at most two columns")
+                             "full run on one row or one column")
     p_enum.add_argument("--format", choices=FORMATS, default="lines",
                         dest="fmt")
     p_enum.add_argument("--out", default=None,
@@ -96,10 +97,10 @@ def _enumerate_method(shape, limit):
     """enumerate's route when none is named.
 
     The filter needs no visited store, so --limit lists the first classes
-    of any shape. A full run on one row or on at most two columns is
-    faster by sieve: there the necklace pruning leaves most codes to test.
+    of any shape. A full run on one row or one column is faster by sieve:
+    there the necklace pruning leaves most codes to test.
     """
-    if limit is None and (shape.m == 1 or shape.n <= 2):
+    if limit is None and (shape.m == 1 or shape.n == 1):
         return "sieve"
     return "filter"
 
@@ -153,7 +154,9 @@ def _output(path):
     straight into, as standard output is ("" too: open() refuses it). A
     regular file, or a symlink's target, is written as path + ".part" and
     moved onto it only if the block succeeds, so a failed run leaves no
-    partial file and an existing file untouched.
+    partial file and an existing file untouched. The new file takes the
+    permission bits of the one it replaces, but not its hard links:
+    other names of the old file keep the old content.
     """
     if not path or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w") as out:
@@ -165,6 +168,8 @@ def _output(path):
     out = open(part, "w")
     try:
         with out:
+            if os.path.isfile(path):
+                os.fchmod(out.fileno(), stat.S_IMODE(os.stat(path).st_mode))
             yield out
         os.replace(part, path)
     except BaseException:

@@ -183,6 +183,21 @@ class TestPruning:
             assert candidates(start, stop)[0] == \
                 oracles.pruned_candidates(m, n, start, stop), (start, stop)
 
+    @pytest.mark.parametrize("m,n,rows", [
+        # below its orbit only by row 0's own column rotations: 0000, 0001
+        (2, 4, (0b0000, 0b0010)),
+        # r0 = 0101 is periodic; row 1 turns into it by right rotations of
+        # 1 and 3 columns, and only the second gives a word below
+        (3, 4, (0b0101, 0b1010, 0b1011)),
+        # row 1 on top, right-rotated by 1: 001, 001, 100
+        (3, 3, (0b001, 0b010, 0b010)),
+    ])
+    def test_rejects_words_below_by_one_move(self, m, n, rows):
+        assert min(oracles.rows_orbit(rows, n)) < rows
+        shape = MatrixShape(m, n)
+        w = tuple_index(TupleCode(rows, shape))
+        assert list(iter_canonical_indices(shape, w, w + 1)) == []
+
     def test_lemma_holds_for_every_class_minimum(self):
         # the sieve's minima, so the lemma is checked apart from the walk
         for m, n in SHAPES_UP_TO_20_CELLS:

@@ -312,6 +312,20 @@ class TestEnumerate:
         assert target.read_text().count("\n\n") == 6
         assert sorted(tmp_path.iterdir()) == [link, target]
 
+    @pytest.mark.parametrize("via_link", [False, True])
+    def test_out_keeps_mode(self, capsys, tmp_path, via_link):
+        target = tmp_path / "target"
+        target.write_text("old")
+        target.chmod(0o600)
+        path = target
+        if via_link:
+            path = tmp_path / "link"
+            path.symlink_to(target.name)
+        code, _, _ = run(capsys, "enumerate", "1", "2", "--out", str(path))
+        assert code == 0
+        assert target.read_text() == "00\n\n01\n\n11\n"
+        assert target.stat().st_mode & 0o7777 == 0o600
+
     def test_out_empty_path(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, "enumerate", "2", "2", "--out", "")
@@ -429,10 +443,12 @@ class TestEnumerate:
         (("4", "5"), "filter"),
         (("3", "3"), "filter"),
         (("1", "6"), "sieve"),
-        (("5", "2"), "sieve"),
+        (("5", "1"), "sieve"),
         (("5", "2", "--limit", "4"), "filter"),
         (("5", "2", "--method", "filter"), "filter"),
         (("4", "5", "--method", "sieve"), "sieve"),
+        (("5", "2"), "filter"),
+        (("5", "1", "--limit", "4"), "filter"),
     ])
     def test_default_method_by_shape(self, capsys, monkeypatch, argv,
                                      route):

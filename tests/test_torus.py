@@ -95,7 +95,8 @@ class TestOrbitVisits:
         assert set(visits) == orbit
         shape = MatrixShape(m, n)
         w = tuple_index(TupleCode(rows, shape))
-        # the filter's inlined copy of the kernel, on the same shapes
+        # the filter's targeted test, which shares no rotation code with
+        # the kernel, on the same shapes
         assert list(iter_canonical_indices(shape, w, w + 1)) == \
             ([w] if rows == min(orbit) else [])
 
