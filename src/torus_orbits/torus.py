@@ -3,15 +3,23 @@
 The whole ground set of shape (m, n) linearizes into indices
 0 .. 2^(m*n) - 1 via a mixed-radix map that agrees with tuple
 lexicographic order, so one visited bit per code suffices. Rotations
-act directly on the linearized word: a row rotation is an n-bit right
+act directly on the linearized word: a row rotation is an n-bit
 rotation of the m*n-bit word, and a column rotation right-rotates each
 n-bit field independently.
+
+A class minimum's top row is a necklace, the least of its own
+rotations, or a column rotation would give a smaller word. So for
+m >= 2 the sieve sets the bits of every code under any other top row
+before its pass, and of each class marks only the members whose top
+row is a necklace: about m marks per class, not m*n. The filter
+(canonical.py) rests on the same fact but shares no code with the
+sieve, so `check` still compares two independent routes.
 """
 
 from .codec import TupleCode
 from .errors import CapacityError, RangeError
 
-SCAN_BUDGET = 1 << 33  # codes per exhaustive scan: 1 GiB of sieve marks
+SCAN_BUDGET = 1 << 33  # codes per exhaustive scan: a 1 GiB visited store
 
 
 def tuple_index(code):
@@ -46,24 +54,63 @@ def row_low_mask(m, n):
     return mask
 
 
-def orbit_words(w, m, n, row_low):
-    """Yield col^j(row^i(w)) for i in [0, m), j in [1, n].
+def necklace_moves(m, n):
+    """The constants of necklace_topped_words for shape (m, n).
 
-    row_low is row_low_mask(m, n). The j = n word is row^i(w) itself,
-    so the m*n words cover the whole rotation orbit of w, each orbit
-    member equally often.
+    Returns (rows, table, shift). rows holds, for each i in [0, m), the
+    mask and shifts of the row rotation that puts row i on top. A column
+    move (j, keep, low, n - j) right-rotates every row by j, and
+    table[x >> shift] is the column moves to apply to a word x. For
+    m >= 2 that index is x's top row p, and the moves are those by the
+    offsets j that turn p into its least rotation (its necklace),
+    ascending. Within SCAN_BUDGET, m >= 2 means n <= 16: at most 2^16
+    entries. For m = 1, shift = n leaves index 0, where table holds all
+    n moves.
     """
-    col_shift = n - 1
-    last_row = (1 << n) - 1
-    row_shift = n * (m - 1)
-    wr = w
-    for _ in range(m):
-        x = wr
-        for _ in range(n):
-            low = x & row_low
-            x = ((x ^ low) >> 1) | (low << col_shift)
-            yield x
-        wr = ((wr & last_row) << row_shift) | (wr >> n)
+    row_low = row_low_mask(m, n)
+    full = (1 << (m * n)) - 1
+    rows = tuple((full >> (n * i), n * i, n * (m - i)) for i in range(m))
+    moves = [(j, row_low * ((1 << (n - j)) - 1), row_low * ((1 << j) - 1),
+              n - j) for j in range(n)]
+    if m == 1:  # the one row's whole orbit: no 2^n table for a wide row
+        return rows, (tuple(moves),), n
+    table = [None] * (1 << n)
+    steps = {}  # (first offset, period) -> its moves, shared by rows
+    for p in range(1 << n):
+        if table[p] is not None:
+            continue
+        # no rotation of p came earlier, so p is its rotations' least:
+        # walk them, rots[j] = rot_j(p), and rot_k(rots[j]) == p for the
+        # k = -j mod the period d
+        rots = [p]
+        x = (p >> 1) | ((p & 1) << (n - 1))
+        while x != p:
+            rots.append(x)
+            x = (x >> 1) | ((x & 1) << (n - 1))
+        d = len(rots)
+        for j, x in enumerate(rots):
+            key = (-j % d, d)
+            if key not in steps:
+                steps[key] = tuple(moves[k] for k in range(key[0], n, d))
+            table[x] = steps[key]
+    return rows, table, n * (m - 1)
+
+
+def necklace_topped_words(w, rows, table, shift):
+    """The words of w's rotation orbit whose top row is a necklace.
+
+    rows, table and shift are necklace_moves(m, n). For each i in [0, m),
+    the word with row i on top is turned by each column move that makes
+    its top row a necklace, each word built from w in one step; for
+    m = 1, every member of the orbit. So every such orbit member is
+    listed, some more than once when w is periodic.
+    """
+    words = []
+    for mask, a, b in rows:
+        x = ((w & mask) << a) | (w >> b)
+        for j, keep, low, k in table[x >> shift]:
+            words.append(((x >> j) & keep) | ((x & low) << k))
+    return words
 
 
 def check_exhaustive(shape, budget=SCAN_BUDGET):
@@ -99,23 +146,49 @@ class VisitedStore:
         return len(self.bits)
 
 
+def skip_unnecklaced(visited, table, shift):
+    """Set the bits of every code whose top row is not a necklace.
+
+    table and shift are necklace_moves(m, n) for m >= 2; each top row
+    heads a block of 2^shift consecutive codes. Such a code is never a
+    class minimum: the column rotation that makes its top row a
+    necklace gives a smaller code.
+    """
+    ones = b"\xff" * (1 << min(max(shift - 3, 0), 16))
+    for p, moves in enumerate(table):
+        if moves[0][0] == 0:  # p's least rotation is itself
+            continue
+        lo, hi = p << shift, (p + 1) << shift
+        if shift < 3:  # a block within one byte, as 2x2's 4 bits
+            for x in range(lo, hi):
+                visited[x >> 3] |= 1 << (x & 7)
+            continue
+        for start in range(lo >> 3, hi >> 3, len(ones)):
+            visited[start:start + len(ones)] = ones
+
+
 def iter_representative_indices(shape):
     """Yield the linearized index of each class minimum, ascending.
 
     One lexicographic pass over the visited store: each zero bit is a
-    class minimum, which is yielded and its whole rotation orbit
-    marked. The byte iterator reads the live store, and no orbit member
-    lies below its minimum, so every mark lands at or ahead of the pass.
+    class minimum, which is yielded and marked with the members of its
+    rotation orbit whose top row is a necklace. For m >= 2 the codes
+    under any other top row, none of them a class minimum, are set
+    before the pass; a one-row shape marks whole orbits. The byte
+    iterator reads the live store, and no orbit member lies below its
+    minimum, so every mark lands at or ahead of the pass.
     """
     m, n = shape.m, shape.n
     visited = VisitedStore(shape).bits
-    row_low = row_low_mask(m, n)
+    rows, table, shift = necklace_moves(m, n)
+    if m > 1:
+        skip_unnecklaced(visited, table, shift)
     bit = (1, 2, 4, 8, 16, 32, 64, 128)
     for cursor, b in enumerate(visited):
         while b != 0xFF:
             w = (cursor << 3) | ((~b & (b + 1)).bit_length() - 1)
             yield w
-            for x in orbit_words(w, m, n, row_low):
+            for x in necklace_topped_words(w, rows, table, shift):
                 visited[x >> 3] |= bit[x & 7]
             b = visited[cursor]
 

@@ -88,6 +88,47 @@ def necklace(p, n):
     return min(int(s[k:] + s[:k], 2) for k in range(n))
 
 
+def least_rotation_offsets(p, n):
+    """The offsets j in [0, n) at which j last-to-first column moves
+    turn the n-bit row p into its least rotation, by string rotation."""
+    s = format(p, f"0{n}b")
+    least = min(s[k:] + s[:k] for k in range(n))
+    return [j for j in range(n) if s[n - j:] + s[:n - j] == least]
+
+
+def orbit_words(w, m, n, row_low):
+    """Yield col^j(row^i(w)) for i in [0, m), j in [1, n].
+
+    row_low has the lowest bit of each n-bit row field of the m*n-bit
+    word. The j = n word is row^i(w) itself, so the m*n words cover the
+    whole rotation orbit of w, each orbit member equally often.
+    """
+    col_shift = n - 1
+    last_row = (1 << n) - 1
+    row_shift = n * (m - 1)
+    wr = w
+    for _ in range(m):
+        x = wr
+        for _ in range(n):
+            low = x & row_low
+            x = ((x ^ low) >> 1) | (low << col_shift)
+            yield x
+        wr = ((wr & last_row) << row_shift) | (wr >> n)
+
+
+def full_orbit_sieve(m, n):
+    """Yield each class minimum's word, ascending: the reference sieve,
+    which skips no code and marks every orbit member through
+    orbit_words, one byte per code."""
+    row_low = sum(1 << (n * k) for k in range(m))
+    visited = bytearray(1 << (m * n))
+    for w, seen in enumerate(visited):
+        if not seen:
+            yield w
+            for x in orbit_words(w, m, n, row_low):
+                visited[x] = 1
+
+
 def pruned_candidate_count(m, n):
     """Words whose top row r0 is a necklace and whose other rows all have
     necklaces >= r0: the words the filter tests."""

@@ -4,12 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import functools
 import random
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from itertools import islice
 from pathlib import Path
 
 from torus_orbits import (
@@ -21,7 +21,12 @@ from torus_orbits import (
     iter_representative_indices,
     tuple_index,
 )
-from torus_orbits.torus import VisitedStore, orbit_words, row_low_mask
+from torus_orbits.torus import (
+    VisitedStore,
+    necklace_moves,
+    necklace_topped_words,
+    row_low_mask,
+)
 
 import oracles
 
@@ -118,14 +123,14 @@ def test_criterion_4_orbit_partition_soundness():
 
 def test_criterion_5_operator_laws():
     with criterion(5, "operator laws, randomized"):
-        # the word kernel the CLI runs, against the oracles' grid moves
+        # the word kernel the sieve runs, against the oracles' grid moves
         shapes = [(1, 1), (1, 30), (30, 1), (2, 15), (3, 10),
                   (4, 4), (5, 6), (6, 5)]
         rng = random.Random(20240824)
         for m, n in shapes:
             shape = MatrixShape(m, n)
             top = (1 << n) - 1
-            row_low = row_low_mask(m, n)
+            moves = necklace_moves(m, n)
             # grids as tuples of '0'/'1' row strings, which the oracle
             # moves shift as they shift tuples of bits
             row_format = f"0{n}b"
@@ -135,26 +140,41 @@ def test_criterion_5_operator_laws():
                 s = format(x, word_format)
                 return tuple(s[k:k + n] for k in range(0, m * n, n))
 
+            row_low = row_low_mask(m, n)
+            shift = n * (m - 1)
+            least_rotation = functools.cache(
+                functools.partial(oracles.necklace, n=n))
+
             for _ in range(10_000):
                 rows = tuple(rng.randint(0, top) for _ in range(m))
                 w = tuple_index(TupleCode(rows, shape))
-                words = list(orbit_words(w, m, n, row_low))
-                assert len(words) == m * n
-                start = g = tuple(format(p, row_format) for p in rows)
-                # words 0..n-1 are col^1..col^n, so the last one is w
-                for j in range(n):
-                    g = oracles.move_last_col_first(g)
-                    assert grid(words[j]) == g
-                assert words[n - 1] == w
-                # words i*n + n - 1 are row^i, and row^m returns to w: the
-                # last word is row^(m-1), and its orbit's word 2n - 1 (its
-                # last one if m = 1) is one more kernel row move
-                g = start
-                for i in range(1, m):
+                words = necklace_topped_words(w, *moves)
+                # k last-to-first row moves put row (m - k) % m on top
+                g = tuple(format(p, row_format) for p in rows)
+                row_moved = [g]
+                for _ in range(m - 1):
                     g = oracles.move_last_row_first(g)
-                    assert grid(words[i * n + n - 1]) == g
-                again = islice(orbit_words(words[-1], m, n, row_low), 2 * n)
-                assert list(again)[-1] == w
+                    row_moved.append(g)
+                # word by word: row i on top, then j last-to-first column
+                # moves for each j that makes that row its least rotation
+                # (every j for one row), ascending
+                expected = []
+                for i in range(m):
+                    g = row_moved[-i]
+                    offsets = (range(n) if m == 1 else
+                               oracles.least_rotation_offsets(rows[i], n))
+                    j = 0
+                    for k in offsets:
+                        for _ in range(k - j):
+                            g = oracles.move_last_col_first(g)
+                        j = k
+                        expected.append(g)
+                assert [grid(x) for x in words] == expected
+                # and they are the orbit members topped by a necklace,
+                # the whole orbit as the reference sieve's kernel lists it
+                assert set(words) == {
+                    x for x in oracles.orbit_words(w, m, n, row_low)
+                    if m == 1 or least_rotation(x >> shift) == x >> shift}
                 assert tuple_index(code_at_index(shape, w)) == w
 
 

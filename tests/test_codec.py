@@ -1,8 +1,11 @@
-"""Codes, their linearized words and the word rotation kernel.
+"""Codes, their linearized words and the full-orbit word kernel.
 
-The package holds one rotation model, `torus.orbit_words` on the word;
-these tests pin it and the code/word bijection to plain grids and the
-last-to-first grid moves of `oracles`.
+`oracles.orbit_words` lists a word's whole rotation orbit, as the
+reference sieve of `oracles.full_orbit_sieve` marks it; these tests pin
+it and the code/word bijection to plain grids and the last-to-first
+grid moves of `oracles`. The package's own kernel, which lists only the
+orbit members whose top row is a necklace, is checked in
+`test_torus.py` and by acceptance criterion 5.
 """
 
 import itertools
@@ -17,7 +20,7 @@ from torus_orbits import (
     code_at_index,
     tuple_index,
 )
-from torus_orbits.torus import orbit_words, row_low_mask
+from torus_orbits.torus import row_low_mask
 
 import oracles
 
@@ -40,7 +43,7 @@ def cells_word(grid):
 
 
 def words(w, m, n):
-    return list(orbit_words(w, m, n, row_low_mask(m, n)))
+    return list(oracles.orbit_words(w, m, n, row_low_mask(m, n)))
 
 
 def word_rows(x, m, n):

@@ -15,7 +15,13 @@ from torus_orbits import (
     iter_representative_indices,
     tuple_index,
 )
-from torus_orbits.torus import VisitedStore, orbit_words, row_low_mask
+from torus_orbits import torus
+from torus_orbits.torus import (
+    VisitedStore,
+    necklace_moves,
+    necklace_topped_words,
+    skip_unnecklaced,
+)
 
 import oracles
 
@@ -54,13 +60,13 @@ class TestTupleIndex:
 
 
 def visited_rows(rows, m, n):
-    """The row tuples of orbit_words on a code, for any shape."""
+    """The row tuples of the sieve's kernel on a code, for any shape."""
     w = 0
     for p in rows:
         w = (w << n) | p
     top = (1 << n) - 1
     return [tuple((x >> (n * (m - 1 - i))) & top for i in range(m))
-            for x in orbit_words(w, m, n, row_low_mask(m, n))]
+            for x in necklace_topped_words(w, *necklace_moves(m, n))]
 
 
 @st.composite
@@ -73,11 +79,12 @@ def shaped_rows(draw):
 
 class TestOrbitVisits:
     def test_zero_code_fixed_point(self):
+        # each row 00 is its least rotation at both offsets
         assert visited_rows((0, 0, 0), 3, 2) == [(0, 0, 0)] * 6
 
     def test_2x2_four_element_orbit(self):
-        assert set(visited_rows((1, 0), 2, 2)) == \
-            {(1, 0), (2, 0), (0, 1), (0, 2)}
+        # the fourth member, (2, 0), has top row 10, above its rotation 01
+        assert set(visited_rows((1, 0), 2, 2)) == {(1, 0), (0, 1), (0, 2)}
 
     def test_2x2_singleton_orbit(self):
         # equal rows, and 3 = 11b is fixed by the bit rotation at n = 2
@@ -86,17 +93,22 @@ class TestOrbitVisits:
     @settings(max_examples=200, deadline=None)
     @example((7, 9, (1, 0, 0, 0, 0, 0, 0)))  # 63 cells
     @example((8, 8, (1, 2, 3, 4, 5, 6, 7, 8)))  # 64 cells
+    @example((3, 4, (5, 10, 11)))  # periodic rows: 0101 has two offsets
     @given(shaped_rows())
     def test_matches_grid_closure(self, case):
         m, n, rows = case
         visits = visited_rows(rows, m, n)
         orbit = oracles.rows_orbit(rows, n)
-        assert len(visits) == m * n
-        assert set(visits) == orbit
+        assert len(visits) == (n if m == 1 else sum(
+            len(oracles.least_rotation_offsets(p, n)) for p in rows))
+        # the orbit members whose top row is its own least rotation; for
+        # one row, the whole orbit
+        assert set(visits) == {r for r in orbit if m == 1 or
+                               oracles.necklace(r[0], n) == r[0]}
         shape = MatrixShape(m, n)
         w = tuple_index(TupleCode(rows, shape))
-        # the filter's targeted test, which shares no rotation code with
-        # the kernel, on the same shapes
+        # the filter's targeted test, which shares no code with the
+        # kernel, on the same shapes
         assert list(iter_canonical_indices(shape, w, w + 1)) == \
             ([w] if rows == min(orbit) else [])
 
@@ -106,6 +118,42 @@ class TestVisitedStore:
         # 34 cells: refused before any allocation
         with pytest.raises(CapacityError, match="8589934592-code budget"):
             VisitedStore(MatrixShape(2, 17))
+
+    # 2x2's blocks are 4 bits, 2x1's and 3x1's have no row to skip
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 1), (3, 1), (2, 3), (3, 4)])
+    def test_skip_sets_exactly_the_codes_under_other_top_rows(self, m, n):
+        store = VisitedStore(MatrixShape(m, n))
+        _, table, shift = necklace_moves(m, n)
+        skip_unnecklaced(store.bits, table, shift)
+        for x in range(1 << (m * n)):
+            top = x >> (n * (m - 1))
+            is_set = bool(store.bits[x >> 3] >> (x & 7) & 1)
+            assert is_set == (oracles.necklace(top, n) != top), (m, n, x)
+
+
+SHAPES_UP_TO_20_CELLS = [(m, n) for m in range(1, 21) for n in range(1, 21)
+                         if m * n <= 20]
+
+
+class TestSieve:
+    @pytest.mark.parametrize("m,n", SHAPES_UP_TO_20_CELLS)
+    def test_matches_full_orbit_sieve(self, m, n):
+        assert list(iter_representative_indices(MatrixShape(m, n))) == \
+            list(oracles.full_orbit_sieve(m, n))
+
+    def test_first_offset_alone_misses_periodic_rows(self, monkeypatch):
+        # the row 0101 is its least rotation at offsets 0 and 2, so the
+        # class of (0011, 0101) has two members under it, (0101, 0011)
+        # and (0101, 1100); a table with only each row's first offset
+        # leaves the second unmarked, to be listed as a class of its own
+        def first_only(m, n):
+            rows, table, shift = necklace_moves(m, n)
+            return rows, [moves[:1] for moves in table], shift
+
+        monkeypatch.setattr(torus, "necklace_moves", first_only)
+        got = list(iter_representative_indices(MatrixShape(2, 4)))
+        assert got != list(oracles.full_orbit_sieve(2, 4))
+        assert 0b0101_1100 in got
 
 
 class TestEnumerateTorus:
