@@ -7,6 +7,9 @@ jsonl  - one JSON record per matrix with the shape, row codes and rows.
 Each record is built straight from the matrix's linearized word: its
 n-bit rows are sliced out of the word and their text is made once per
 row value for rows of up to 16 bits, so no table outgrows 2^16 entries.
+Consecutive words mostly share their first m - 1 rows, so the text of
+those rows is kept for the last prefix (w >> n) seen and rebuilt only
+when it changes; each record then formats only its last row.
 """
 
 import functools
@@ -24,27 +27,35 @@ def write_words(shape, words, fmt, out):
         raise ValueError(f"unknown format {fmt!r}")
     m, n = shape.m, shape.n
     top = (1 << n) - 1
-    shifts = tuple(range(n * (m - 1), -1, -n))  # first row first
+    shifts = tuple(range(n * (m - 2), -1, -n))  # all rows but the last
     bits = f"0{n}b"
     # Rows of at most 16 bits recur from record to record, so their text
     # is cached. Under the budget only one-row shapes have wider rows in
     # a full run, and there no row recurs, so a cache would only grow.
     memo = functools.cache if n <= 16 else (lambda fill: fill)
     count = 0
+    key = None  # the prefix w >> n whose text is kept
     if fmt == "jsonl":
         # the bytes of json.dumps(record, separators=(",", ":"))
         head = f'{{"m":{m},"n":{n},"tuple":['
         decimal = memo(repr)
         quoted = memo(lambda p: f'"{p:{bits}}"')
         for count, w in enumerate(words, 1):
-            rows = [(w >> s) & top for s in shifts]
-            out.write(f'{head}{",".join(map(decimal, rows))}],"rows":['
-                      f'{",".join(map(quoted, rows))}]}}\n')
+            if (p := w >> n) != key:
+                key = p
+                rows = [(p >> s) & top for s in shifts]
+                tup = head + "".join([decimal(r) + "," for r in rows])
+                txt = "".join([quoted(r) + "," for r in rows])
+            out.write(f'{tup}{decimal(w & top)}],"rows":['
+                      f'{txt}{quoted(w & top)}]}}\n')
         return count
     gap, head = (" ", f"P1\n{n} {m}\n") if fmt == "pbm" else ("", "")
     line = memo(lambda p: gap.join(format(p, bits)) + "\n")
     for count, w in enumerate(words, 1):
-        out.write(head + "".join([line((w >> s) & top) for s in shifts]))
+        if (p := w >> n) != key:
+            key = p
+            text = "".join([line((p >> s) & top) for s in shifts])
+        out.write(head + text + line(w & top))
         if fmt == "lines":
             head = "\n"  # a blank line between records
     return count

@@ -4,6 +4,7 @@ import os
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torus_orbits import (
     MatrixShape,
@@ -96,6 +97,41 @@ def test_distinct_wide_rows_are_not_kept(fmt):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# one row (an empty prefix), one column (the prefix changes almost every
+# word), 2x20 (rows past the 16-bit memo) and a few ordinary shapes
+EDGE_SHAPES = [(1, 6), (1, 20), (9, 1), (20, 1), (2, 20), (3, 3), (4, 5)]
+
+
+@st.composite
+def shaped_words(draw):
+    m, n = draw(st.sampled_from(EDGE_SHAPES)
+                | st.tuples(st.integers(1, 4), st.integers(1, 5)))
+    top, prefix_top = (1 << n) - 1, (1 << n * (m - 1)) - 1
+    # a few prefixes drawn from over and over, in any order: repeated
+    # words, and prefixes that come back after another one
+    prefixes = draw(st.lists(st.integers(0, prefix_top),
+                             min_size=1, max_size=4))
+    pairs = st.tuples(st.sampled_from(prefixes), st.integers(0, top))
+    words = draw(st.lists(pairs.map(lambda pr: pr[0] << n | pr[1]),
+                          max_size=12)
+                 | st.lists(st.integers(0, (1 << m * n) - 1), max_size=12))
+    return MatrixShape(m, n), words
+
+
+@settings(max_examples=400, deadline=None)
+@example((MatrixShape(3, 2), [0b000001, 0b010000, 0b000010]))  # A, B, A
+@example((MatrixShape(2, 3), [0b111000, 0b000111, 0b000111, 0b111000]))
+@example((MatrixShape(2, 20), [3 << 20 | 1, 1 << 20 | 1, 3 << 20 | 2]))
+@given(shaped_words())
+def test_prefix_cache_matches_the_oracle(case):
+    # each record's text depends on its word alone, not on the words
+    # before it, whatever their order
+    shape, words = case
+    codes = [code_at_index(shape, w) for w in words]
+    for fmt in FORMATS:
+        assert words_text(shape, words, fmt) == oracles.stream(codes, fmt)
 
 
 def assert_same_text(got, expected, label):
