@@ -8,12 +8,12 @@ rotation of the m*n-bit word, and a column rotation right-rotates each
 n-bit field independently.
 
 A class minimum's top row is a necklace, the least of its own
-rotations, or a column rotation would give a smaller word. So for
-m >= 2 the sieve sets the bits of every code under any other top row
-before its pass, and of each class marks only the members whose top
-row is a necklace: about m marks per class, not m*n. The filter
-(canonical.py) rests on the same fact but shares no code with the
-sieve, so `check` still compares two independent routes.
+rotations, or a column rotation would give a smaller word. So the
+sieve's pass reads only the blocks of codes under a necklace top row,
+and of each class marks only the members whose top row is a
+necklace: about m marks per class, not m*n. The filter (canonical.py)
+rests on the same fact but shares no code with the sieve, so `check`
+still compares two independent routes.
 """
 
 from .codec import TupleCode
@@ -60,20 +60,22 @@ def necklace_moves(m, n):
     Returns (rows, table, shift). rows holds, for each i in [0, m), the
     mask and shifts of the row rotation that puts row i on top. A column
     move (j, keep, low, n - j) right-rotates every row by j, and
-    table[x >> shift] is the column moves to apply to a word x. For
-    m >= 2 that index is x's top row p, and the moves are those by the
-    offsets j that turn p into its least rotation (its necklace),
-    ascending. Within SCAN_BUDGET, m >= 2 means n <= 16: at most 2^16
-    entries. For m = 1, shift = n leaves index 0, where table holds all
-    n moves.
+    table[x >> shift] is the column moves to apply to a word x: those
+    by the offsets j that turn x's top row p into its least rotation
+    (its necklace), ascending, so p is a necklace iff its first offset
+    is 0. Within SCAN_BUDGET, m >= 2 means n <= 16: at most 2^16
+    entries. When the 2^(n*(m-1)) codes under one top row fill less
+    than a byte (one row, 2x1, 3x1, 2x2), shift = m*n leaves index 0
+    instead, where table holds all n moves: the kernel lists whole
+    orbits, and the one block is the whole store.
     """
     row_low = row_low_mask(m, n)
     full = (1 << (m * n)) - 1
     rows = tuple((full >> (n * i), n * i, n * (m - i)) for i in range(m))
     moves = [(j, row_low * ((1 << (n - j)) - 1), row_low * ((1 << j) - 1),
               n - j) for j in range(n)]
-    if m == 1:  # the one row's whole orbit: no 2^n table for a wide row
-        return rows, (tuple(moves),), n
+    if n * (m - 1) < 3:  # one row, or top-row blocks under a byte
+        return rows, (tuple(moves),), m * n
     table = [None] * (1 << n)
     steps = {}  # (first offset, period) -> its moves, shared by rows
     for p in range(1 << n):
@@ -102,8 +104,8 @@ def necklace_topped_words(w, rows, table, shift):
     rows, table and shift are necklace_moves(m, n). For each i in [0, m),
     the word with row i on top is turned by each column move that makes
     its top row a necklace, each word built from w in one step; for
-    m = 1, every member of the orbit. So every such orbit member is
-    listed, some more than once when w is periodic.
+    a table of one entry, every member of the orbit. So every such orbit
+    member is listed, some more than once when w is periodic.
     """
     words = []
     for mask, a, b in rows:
@@ -146,51 +148,33 @@ class VisitedStore:
         return len(self.bits)
 
 
-def skip_unnecklaced(visited, table, shift):
-    """Set the bits of every code whose top row is not a necklace.
-
-    table and shift are necklace_moves(m, n) for m >= 2; each top row
-    heads a block of 2^shift consecutive codes. Such a code is never a
-    class minimum: the column rotation that makes its top row a
-    necklace gives a smaller code.
-    """
-    ones = b"\xff" * (1 << min(max(shift - 3, 0), 16))
-    for p, moves in enumerate(table):
-        if moves[0][0] == 0:  # p's least rotation is itself
-            continue
-        lo, hi = p << shift, (p + 1) << shift
-        if shift < 3:  # a block within one byte, as 2x2's 4 bits
-            for x in range(lo, hi):
-                visited[x >> 3] |= 1 << (x & 7)
-            continue
-        for start in range(lo >> 3, hi >> 3, len(ones)):
-            visited[start:start + len(ones)] = ones
-
-
 def iter_representative_indices(shape):
     """Yield the linearized index of each class minimum, ascending.
 
-    One lexicographic pass over the visited store: each zero bit is a
-    class minimum, which is yielded and marked with the members of its
-    rotation orbit whose top row is a necklace. For m >= 2 the codes
-    under any other top row, none of them a class minimum, are set
-    before the pass; a one-row shape marks whole orbits. The byte
-    iterator reads the live store, and no orbit member lies below its
-    minimum, so every mark lands at or ahead of the pass.
+    One lexicographic pass over the visited store's blocks under a
+    necklace top row, the only ones that hold a class minimum: each
+    zero bit there is a class minimum, which is yielded and marked with
+    the members of its rotation orbit whose top row is a necklace. The
+    pass reads the live store, and no orbit member lies below its
+    minimum, so every mark lands at or ahead of the pass. A block is
+    2^shift codes, a whole number of bytes or the whole store, so no
+    byte is shared with a skipped block, where nothing is ever marked.
     """
     m, n = shape.m, shape.n
     visited = VisitedStore(shape).bits
     rows, table, shift = necklace_moves(m, n)
-    if m > 1:
-        skip_unnecklaced(visited, table, shift)
     bit = (1, 2, 4, 8, 16, 32, 64, 128)
-    for cursor, b in enumerate(visited):
-        while b != 0xFF:
-            w = (cursor << 3) | ((~b & (b + 1)).bit_length() - 1)
-            yield w
-            for x in necklace_topped_words(w, rows, table, shift):
-                visited[x >> 3] |= bit[x & 7]
+    for p, moves in enumerate(table):
+        if moves[0][0]:  # p is not its own least rotation
+            continue
+        for cursor in range((p << shift) >> 3, (((p + 1) << shift) + 7) >> 3):
             b = visited[cursor]
+            while b != 0xFF:
+                w = (cursor << 3) | ((~b & (b + 1)).bit_length() - 1)
+                yield w
+                for x in necklace_topped_words(w, rows, table, shift):
+                    visited[x >> 3] |= bit[x & 7]
+                b = visited[cursor]
 
 
 def enumerate_torus(shape):

@@ -20,7 +20,6 @@ from torus_orbits.torus import (
     VisitedStore,
     necklace_moves,
     necklace_topped_words,
-    skip_unnecklaced,
 )
 
 import oracles
@@ -83,8 +82,10 @@ class TestOrbitVisits:
         assert visited_rows((0, 0, 0), 3, 2) == [(0, 0, 0)] * 6
 
     def test_2x2_four_element_orbit(self):
-        # the fourth member, (2, 0), has top row 10, above its rotation 01
-        assert set(visited_rows((1, 0), 2, 2)) == {(1, 0), (0, 1), (0, 2)}
+        # 2x2's 4-bit blocks lie under a byte, so the kernel lists the
+        # whole orbit, also (2, 0), whose top row 10 is not a necklace
+        assert set(visited_rows((1, 0), 2, 2)) == \
+            {(1, 0), (0, 1), (0, 2), (2, 0)}
 
     def test_2x2_singleton_orbit(self):
         # equal rows, and 3 = 11b is fixed by the bit rotation at n = 2
@@ -99,11 +100,12 @@ class TestOrbitVisits:
         m, n, rows = case
         visits = visited_rows(rows, m, n)
         orbit = oracles.rows_orbit(rows, n)
-        assert len(visits) == (n if m == 1 else sum(
+        whole = n * (m - 1) < 3  # one row, or blocks under a byte
+        assert len(visits) == (m * n if whole else sum(
             len(oracles.least_rotation_offsets(p, n)) for p in rows))
         # the orbit members whose top row is its own least rotation; for
-        # one row, the whole orbit
-        assert set(visits) == {r for r in orbit if m == 1 or
+        # one row or blocks under a byte, the whole orbit
+        assert set(visits) == {r for r in orbit if whole or
                                oracles.necklace(r[0], n) == r[0]}
         shape = MatrixShape(m, n)
         w = tuple_index(TupleCode(rows, shape))
@@ -118,17 +120,6 @@ class TestVisitedStore:
         # 34 cells: refused before any allocation
         with pytest.raises(CapacityError, match="8589934592-code budget"):
             VisitedStore(MatrixShape(2, 17))
-
-    # 2x2's blocks are 4 bits, 2x1's and 3x1's have no row to skip
-    @pytest.mark.parametrize("m,n", [(2, 2), (2, 1), (3, 1), (2, 3), (3, 4)])
-    def test_skip_sets_exactly_the_codes_under_other_top_rows(self, m, n):
-        store = VisitedStore(MatrixShape(m, n))
-        _, table, shift = necklace_moves(m, n)
-        skip_unnecklaced(store.bits, table, shift)
-        for x in range(1 << (m * n)):
-            top = x >> (n * (m - 1))
-            is_set = bool(store.bits[x >> 3] >> (x & 7) & 1)
-            assert is_set == (oracles.necklace(top, n) != top), (m, n, x)
 
 
 SHAPES_UP_TO_20_CELLS = [(m, n) for m in range(1, 21) for n in range(1, 21)
