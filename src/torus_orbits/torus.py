@@ -2,18 +2,20 @@
 
 The whole ground set of shape (m, n) linearizes into indices
 0 .. 2^(m*n) - 1 via a mixed-radix map that agrees with tuple
-lexicographic order, so one visited bit per code suffices. Rotations
-act directly on the linearized word: a row rotation is an n-bit
-rotation of the m*n-bit word, and a column rotation right-rotates each
-n-bit field independently.
+lexicographic order, so one visited bit per code suffices. The bits
+live in an anonymous mapping, whose pages become resident only once
+touched. Rotations act directly on the linearized word: a row rotation
+is an n-bit rotation of the m*n-bit word, and a column rotation
+right-rotates each n-bit field independently.
 
 A class minimum's top row is a necklace, the least of its own
 rotations, or a column rotation would give a smaller word. So the
 sieve's pass reads only the blocks of codes under a necklace top row,
 and of each class marks only the members whose top row is a
-necklace: about m marks per class, not m*n. The filter (canonical.py)
-rests on the same fact but shares no code with the sieve, so `check`
-still compares two independent routes.
+necklace: about m marks per class, not m*n. No other block is ever
+touched, so only about 1/n of the store becomes resident. The filter
+(canonical.py) rests on the same fact but shares no code with the
+sieve, so `check` still compares two independent routes.
 """
 
 from .codec import TupleCode
@@ -129,14 +131,21 @@ def check_exhaustive(shape, budget=SCAN_BUDGET):
 
 
 class VisitedStore:
-    """One bit per code of the ground set, in one flat bytearray."""
+    """One bit per code of the ground set, in one anonymous mapping.
+
+    The operating system hands out zero pages on first touch, so only
+    the pages that are read or marked become resident: on a sieve pass,
+    those under a necklace top row.
+    """
 
     def __init__(self, shape):
         check_exhaustive(shape)
+        import mmap  # here, so count and burnside never load it
+
         total = 1 << shape.cells
         try:
-            self.bits = bytearray((total + 7) >> 3)
-        except MemoryError:
+            self.bits = mmap.mmap(-1, (total + 7) >> 3)
+        except (OSError, MemoryError):
             raise CapacityError(f"cannot allocate the 2^{shape.cells}-bit "
                                 "visited store") from None
         if total & 7:
@@ -159,6 +168,9 @@ def iter_representative_indices(shape):
     minimum, so every mark lands at or ahead of the pass. A block is
     2^shift codes, a whole number of bytes or the whole store, so no
     byte is shared with a skipped block, where nothing is ever marked.
+    Only the pages of those blocks become resident. The reread keeps the
+    bits already passed and adds w's own, so the pass moves on even if
+    the kernel missed w.
     """
     m, n = shape.m, shape.n
     visited = VisitedStore(shape).bits
@@ -174,7 +186,7 @@ def iter_representative_indices(shape):
                 yield w
                 for x in necklace_topped_words(w, rows, table, shift):
                     visited[x >> 3] |= bit[x & 7]
-                b = visited[cursor]
+                b |= visited[cursor] | (b + 1)
 
 
 def enumerate_torus(shape):

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import mmap
 import os
 import signal
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torus_orbits import MatrixShape, TupleCode, cli, count_burnside, torus
+from torus_orbits import MatrixShape, TupleCode, cli, count_burnside
 from torus_orbits.formats import FORMATS
 
 import oracles
@@ -108,12 +110,15 @@ class TestCount:
         assert code == 3
         assert "--method burnside" in err
 
-    def test_store_allocation_failure(self, capsys, monkeypatch):
-        def refusing(size):
-            raise MemoryError
+    @pytest.mark.parametrize("error", [
+        OSError(errno.ENOMEM, os.strerror(errno.ENOMEM)), MemoryError()],
+        ids=["ENOMEM", "MemoryError"])
+    def test_store_allocation_failure(self, capsys, monkeypatch, error):
+        def refusing(fileno, length):
+            raise error
 
-        # the visited store's bytearray, as on a host short of 4 MiB
-        monkeypatch.setattr(torus, "bytearray", refusing, raising=False)
+        # the visited store's mapping, as on a host short of 4 MiB
+        monkeypatch.setattr(mmap, "mmap", refusing)
         code, _, err = run(capsys, "count", "5", "5", "--method", "sieve")
         assert code == 3
         assert "cannot allocate the 2^25-bit visited store" in err

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -121,6 +122,22 @@ class TestVisitedStore:
         with pytest.raises(CapacityError, match="8589934592-code budget"):
             VisitedStore(MatrixShape(2, 17))
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs /proc/self/statm")
+    def test_only_touched_pages_are_resident(self):
+        # two 128 MiB stores: one untouched, and the pass's, of which
+        # the first word touches one page
+        def resident_bytes():
+            with open("/proc/self/statm") as f:
+                return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        before = resident_bytes()
+        store = VisitedStore(MatrixShape(5, 6))
+        indices = iter_representative_indices(MatrixShape(5, 6))
+        assert next(indices) == 0
+        assert resident_bytes() - before < 8 << 20
+        assert store.nbytes == 1 << 27
+
 
 SHAPES_UP_TO_20_CELLS = [(m, n) for m in range(1, 21) for n in range(1, 21)
                          if m * n <= 20]
@@ -145,6 +162,15 @@ class TestSieve:
         got = list(iter_representative_indices(MatrixShape(2, 4)))
         assert got != list(oracles.full_orbit_sieve(2, 4))
         assert 0b0101_1100 in got
+
+    def test_pass_moves_past_a_word_the_kernel_missed(self, monkeypatch):
+        # a kernel that marks nothing: the pass must still end, listing
+        # every code under a necklace top row (000, 001, 011, 111)
+        monkeypatch.setattr(torus, "necklace_topped_words",
+                            lambda w, rows, table, shift: [])
+        got = list(itertools.islice(
+            iter_representative_indices(MatrixShape(2, 3)), 100))
+        assert got == [p << 3 | q for p in (0, 1, 3, 7) for q in range(8)]
 
 
 class TestEnumerateTorus:
