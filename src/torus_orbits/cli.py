@@ -99,8 +99,9 @@ def _enumerate_method(shape, limit):
     The filter needs no visited store, so --limit lists the first classes
     of any shape. A full run on one row or one column is faster by sieve:
     there the necklace pruning leaves most codes to test. The sieve also
-    won every run on some two-row shapes (2x10, 2x11, 2x12), but not on
-    others (2x6, 2x8, 2x9), so no rule by shape takes them.
+    won every run on 2x10, 2x11, 2x12 and 10x2, but not on 2x8, 2x9 or
+    7x3, and lost every run on 4x5 and 5x5; no rule by shape separates
+    them, and no benchmark workload yet measures this route.
     """
     if limit is None and (shape.m == 1 or shape.n == 1):
         return "sieve"

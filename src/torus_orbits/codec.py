@@ -2,7 +2,7 @@
 
 An m x n binary matrix is identified with the m-tuple of its row values,
 each row read most-significant-bit-first as an n-digit binary numeral.
-The rotations act on the linearized word, in `torus.necklace_topped_words`.
+The rotations act on the linearized word, in `torus.top_row_words`.
 """
 
 from dataclasses import dataclass

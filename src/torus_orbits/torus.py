@@ -9,13 +9,17 @@ is an n-bit rotation of the m*n-bit word, and a column rotation
 right-rotates each n-bit field independently.
 
 A class minimum's top row is a necklace, the least of its own
-rotations, or a column rotation would give a smaller word. So the
-sieve's pass reads only the blocks of codes under a necklace top row,
-and of each class marks only the members whose top row is a
-necklace: about m marks per class, not m*n. No other block is ever
-touched, so only about 1/n of the store becomes resident. The filter
-(canonical.py) rests on the same fact but shares no code with the
-sieve, so `check` still compares two independent routes.
+rotations, or a column rotation would give a smaller word; and every
+other row's necklace is at least that top row. So the sieve's pass
+reads only the blocks of codes under a necklace top row q. Before
+reading one, it fills in the codes with a row whose necklace is below
+q, whose class minima lie in earlier blocks; of each class minimum it
+then marks only the orbit members with the same top row q, the rest of
+the class being filled. That is about 2 marks per class on 5x5, not
+m*n. No other block is ever touched, so only about 1/n of the store
+becomes resident. The filter (canonical.py) rests on the same facts
+but shares no code with the sieve, so `check` still compares two
+independent routes.
 """
 
 from .codec import TupleCode
@@ -57,7 +61,7 @@ def row_low_mask(m, n):
 
 
 def necklace_moves(m, n):
-    """The constants of necklace_topped_words for shape (m, n).
+    """The constants of top_row_words for shape (m, n).
 
     Returns (rows, table, shift). rows holds, for each i in [0, m), the
     mask and shifts of the row rotation that puts row i on top. A column
@@ -86,11 +90,7 @@ def necklace_moves(m, n):
         # no rotation of p came earlier, so p is its rotations' least:
         # walk them, rots[j] = rot_j(p), and rot_k(rots[j]) == p for the
         # k = -j mod the period d
-        rots = [p]
-        x = (p >> 1) | ((p & 1) << (n - 1))
-        while x != p:
-            rots.append(x)
-            x = (x >> 1) | ((x & 1) << (n - 1))
+        rots = row_rotations(p, n)
         d = len(rots)
         for j, x in enumerate(rots):
             key = (-j % d, d)
@@ -100,28 +100,105 @@ def necklace_moves(m, n):
     return rows, table, n * (m - 1)
 
 
-def necklace_topped_words(w, rows, table, shift):
-    """The words of w's rotation orbit whose top row is a necklace.
+def row_rotations(p, n):
+    """The distinct rotations of the n-bit row p, rot_j(p) at index j:
+    the rows whose necklace is p's."""
+    rots = [p]
+    x = (p >> 1) | ((p & 1) << (n - 1))
+    while x != p:
+        rots.append(x)
+        x = (x >> 1) | ((x & 1) << (n - 1))
+    return rots
 
-    rows, table and shift are necklace_moves(m, n). For each i in [0, m),
-    the word with row i on top is turned by each column move that makes
-    its top row a necklace, each word built from w in one step; for
-    a table of one entry, every member of the orbit. So every such orbit
-    member is listed, some more than once when w is periodic.
+
+def block_moves(table, q, n):
+    """table cut down to the rows whose necklace is q.
+
+    table is necklace_moves(m, n)'s and q a necklace. The rotations of q
+    keep their moves, which turn them into q; every other row has none.
+    So top_row_words with it lists only the words under top row q. For
+    a table of one entry (q = 0), the entry itself.
+    """
+    block = [()] * len(table)
+    for p in row_rotations(q, n):
+        block[p] = table[p]
+    return block
+
+
+def top_row_words(w, rows, block, shift):
+    """The words of w's rotation orbit whose top row is the necklace q.
+
+    rows and shift are necklace_moves(m, n)'s, and block is
+    block_moves(table, q, n); the sieve passes w's own top row as q. For
+    each i in [0, m), the word with row i on top is turned by each
+    column move that makes its top row q, each word built from w in one
+    step; for a table of one entry, every member of the orbit. So every
+    such orbit member is listed, some more than once when w is periodic.
     """
     words = []
     for mask, a, b in rows:
         x = ((w & mask) << a) | (w >> b)
-        for j, keep, low, k in table[x >> shift]:
+        for j, keep, low, k in block[x >> shift]:
             words.append(((x >> j) & keep) | ((x & low) << k))
     return words
+
+
+FILL_CHUNK = 1 << 16  # bytes: the largest pattern or run a fill builds
+
+
+def fill_block(visited, start, depth, n, low):
+    """Set the bit of every code of a block that has a row in low.
+
+    The block starts at byte start of visited and holds the 2^(n*depth)
+    codes of depth n-bit rows below its top row, the last row least
+    significant, at least 8 of them; bit r of low marks row r. The bits
+    are built from the last row up: the level of k rows is 2^n
+    sub-blocks of k - 1 rows, all ones under a marked row and the level
+    below otherwise. Levels whose sub-blocks are narrower than a byte
+    are built as ints, then bytes up to FILL_CHUNK, and the levels above
+    are written in place, one sub-block at a time, so no temporary
+    exceeds FILL_CHUNK bytes whatever the block's size.
+    """
+    marked = format(low, f"0{1 << n}b")[::-1]  # "1" at each row in low
+    level, width, pattern = 1, 1 << n, low
+    while width < 8:
+        ones = (1 << width) - 1
+        pattern = sum((ones if out == "1" else pattern) << (r * width)
+                      for r, out in enumerate(marked))
+        level, width = level + 1, width << n
+    pattern = pattern.to_bytes(width >> 3, "little")
+    while level < depth and len(pattern) << n <= FILL_CHUNK:
+        ones = b"\xff" * len(pattern)
+        pattern = b"".join([ones if out == "1" else pattern
+                            for out in marked])
+        level += 1
+    _write_levels(visited, start, depth - level, pattern, marked, n)
+
+
+def _write_levels(visited, start, k, pattern, marked, n):
+    """Write at byte start the level k rows above pattern's, as
+    fill_block builds it: each sub-block all ones or written the same
+    way, one level down."""
+    if not k:
+        visited[start:start + len(pattern)] = pattern
+        return
+    size = len(pattern) << (n * (k - 1))
+    for out in marked:
+        if out == "0":
+            _write_levels(visited, start, k - 1, pattern, marked, n)
+        else:
+            ones = b"\xff" * min(size, FILL_CHUNK)
+            for s in range(start, start + size, len(ones)):
+                visited[s:s + len(ones)] = ones
+        start += size
 
 
 def check_exhaustive(shape, budget=SCAN_BUDGET):
     """Refuse a scan of the whole ground set beyond budget codes.
 
-    The sieve walks all 2^(m*n) codes and keeps one visited bit per
-    code; the filter tests at most that many. The budget is SCAN_BUDGET
+    The sieve keeps one visited bit per code of all 2^(m*n), though it
+    reads only the blocks under a necklace top row; the filter tests at
+    most that many codes. The budget is SCAN_BUDGET
     (33 cells), or 2^20 (20 cells) for `check`, which runs both.
     """
     # 2^cells > budget, without building 2^cells for a huge shape
@@ -134,8 +211,8 @@ class VisitedStore:
     """One bit per code of the ground set, in one anonymous mapping.
 
     The operating system hands out zero pages on first touch, so only
-    the pages that are read or marked become resident: on a sieve pass,
-    those under a necklace top row.
+    the pages that are read, filled or marked become resident: on a
+    sieve pass, those under a necklace top row.
     """
 
     def __init__(self, shape):
@@ -161,32 +238,44 @@ def iter_representative_indices(shape):
     """Yield the linearized index of each class minimum, ascending.
 
     One lexicographic pass over the visited store's blocks under a
-    necklace top row, the only ones that hold a class minimum: each
-    zero bit there is a class minimum, which is yielded and marked with
-    the members of its rotation orbit whose top row is a necklace. The
-    pass reads the live store, and no orbit member lies below its
-    minimum, so every mark lands at or ahead of the pass. A block is
-    2^shift codes, a whole number of bytes or the whole store, so no
-    byte is shared with a skipped block, where nothing is ever marked.
-    Only the pages of those blocks become resident. The reread keeps the
-    bits already passed and adds w's own, so the pass moves on even if
-    the kernel missed w.
+    necklace top row q, the only ones that hold a class minimum, in
+    ascending q. Before the pass reads a block, fill_block sets the bits
+    of its codes with a row whose necklace is below q: each such class's
+    minimum lies in an earlier block. Each zero bit left is a class
+    minimum, which is yielded and marked with the members of its
+    rotation orbit under the same top row q. Every other code of the
+    block is in the class of such a minimum, since all its rows'
+    necklaces are at least q. The pass reads the live store, and no
+    orbit member lies below its minimum, so every mark lands at or ahead
+    of the pass and inside the block. A block is 2^shift codes, a whole
+    number of bytes or the whole store, so no byte is shared with a
+    skipped block, where nothing is ever written. Only the pages of
+    those blocks become resident; the block under q = 0 needs no fill.
+    The reread keeps the bits already passed and adds w's own, so the
+    pass moves on even if the kernel missed w.
     """
     m, n = shape.m, shape.n
     visited = VisitedStore(shape).bits
     rows, table, shift = necklace_moves(m, n)
     bit = (1, 2, 4, 8, 16, 32, 64, 128)
-    for p, moves in enumerate(table):
-        if moves[0][0]:  # p is not its own least rotation
+    low = 0  # bit p set for each row p whose necklace is below q
+    for q, moves in enumerate(table):
+        if moves[0][0]:  # q is not its own least rotation
             continue
-        for cursor in range((p << shift) >> 3, (((p + 1) << shift) + 7) >> 3):
+        start = (q << shift) >> 3
+        if low:
+            fill_block(visited, start, m - 1, n, low)
+        block = block_moves(table, q, n)
+        for cursor in range(start, (((q + 1) << shift) + 7) >> 3):
             b = visited[cursor]
             while b != 0xFF:
                 w = (cursor << 3) | ((~b & (b + 1)).bit_length() - 1)
                 yield w
-                for x in necklace_topped_words(w, rows, table, shift):
+                for x in top_row_words(w, rows, block, shift):
                     visited[x >> 3] |= bit[x & 7]
                 b |= visited[cursor] | (b + 1)
+        for p in row_rotations(q, n):
+            low |= 1 << p
 
 
 def enumerate_torus(shape):

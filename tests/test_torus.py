@@ -1,5 +1,6 @@
 import itertools
 import os
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,8 +20,10 @@ from torus_orbits import (
 from torus_orbits import torus
 from torus_orbits.torus import (
     VisitedStore,
+    block_moves,
+    fill_block,
     necklace_moves,
-    necklace_topped_words,
+    top_row_words,
 )
 
 import oracles
@@ -59,14 +62,17 @@ class TestTupleIndex:
                 code_at_index(shape, idx)
 
 
-def visited_rows(rows, m, n):
-    """The row tuples of the sieve's kernel on a code, for any shape."""
+def visited_rows(rows, m, n, q):
+    """The row tuples of the sieve's kernel on a code, for any shape,
+    with the block table of the necklace q."""
     w = 0
     for p in rows:
         w = (w << n) | p
     top = (1 << n) - 1
+    rows_moves, table, shift = necklace_moves(m, n)
+    block = block_moves(table, q, n)
     return [tuple((x >> (n * (m - 1 - i))) & top for i in range(m))
-            for x in necklace_topped_words(w, *necklace_moves(m, n))]
+            for x in top_row_words(w, rows_moves, block, shift)]
 
 
 @st.composite
@@ -80,34 +86,37 @@ def shaped_rows(draw):
 class TestOrbitVisits:
     def test_zero_code_fixed_point(self):
         # each row 00 is its least rotation at both offsets
-        assert visited_rows((0, 0, 0), 3, 2) == [(0, 0, 0)] * 6
+        assert visited_rows((0, 0, 0), 3, 2, 0) == [(0, 0, 0)] * 6
 
     def test_2x2_four_element_orbit(self):
         # 2x2's 4-bit blocks lie under a byte, so the kernel lists the
         # whole orbit, also (2, 0), whose top row 10 is not a necklace
-        assert set(visited_rows((1, 0), 2, 2)) == \
+        assert set(visited_rows((1, 0), 2, 2, 0)) == \
             {(1, 0), (0, 1), (0, 2), (2, 0)}
 
     def test_2x2_singleton_orbit(self):
         # equal rows, and 3 = 11b is fixed by the bit rotation at n = 2
-        assert set(visited_rows((3, 3), 2, 2)) == {(3, 3)}
+        assert set(visited_rows((3, 3), 2, 2, 0)) == {(3, 3)}
 
     @settings(max_examples=200, deadline=None)
     @example((7, 9, (1, 0, 0, 0, 0, 0, 0)))  # 63 cells
     @example((8, 8, (1, 2, 3, 4, 5, 6, 7, 8)))  # 64 cells
     @example((3, 4, (5, 10, 11)))  # periodic rows: 0101 has two offsets
+    @example((2, 4, (5, 12)))  # 1100's necklace 0011 is below 0101
     @given(shaped_rows())
     def test_matches_grid_closure(self, case):
         m, n, rows = case
-        visits = visited_rows(rows, m, n)
-        orbit = oracles.rows_orbit(rows, n)
         whole = n * (m - 1) < 3  # one row, or blocks under a byte
+        # the top row of the class minimum: the least row necklace
+        q = 0 if whole else min(oracles.necklace(p, n) for p in rows)
+        visits = visited_rows(rows, m, n, q)
+        orbit = oracles.rows_orbit(rows, n)
         assert len(visits) == (m * n if whole else sum(
-            len(oracles.least_rotation_offsets(p, n)) for p in rows))
-        # the orbit members whose top row is its own least rotation; for
-        # one row or blocks under a byte, the whole orbit
-        assert set(visits) == {r for r in orbit if whole or
-                               oracles.necklace(r[0], n) == r[0]}
+            len(oracles.least_rotation_offsets(p, n)) for p in rows
+            if oracles.necklace(p, n) == q))
+        # the orbit members under top row q; for one row or blocks under
+        # a byte, the whole orbit
+        assert set(visits) == {r for r in orbit if whole or r[0] == q}
         shape = MatrixShape(m, n)
         w = tuple_index(TupleCode(rows, shape))
         # the filter's targeted test, which shares no code with the
@@ -149,10 +158,28 @@ class TestSieve:
         assert list(iter_representative_indices(MatrixShape(m, n))) == \
             list(oracles.full_orbit_sieve(m, n))
 
+    @pytest.mark.parametrize("m,n", SHAPES_UP_TO_20_CELLS)
+    def test_kernel_marks_only_under_the_minimum_top_row(self, m, n):
+        # the rest of each class lies in later blocks, which their fills
+        # cover; only the whole-orbit shapes mark whole orbits
+        rows, table, shift = necklace_moves(m, n)
+        whole = n * (m - 1) < 3
+        blocks = {}
+        for w in iter_representative_indices(MatrixShape(m, n)):
+            q = w >> shift
+            if q not in blocks:
+                blocks[q] = block_moves(table, q, n)
+            words = top_row_words(w, rows, blocks[q], shift)
+            assert w in words
+            if whole:
+                assert len(words) == m * n
+            else:
+                assert {x >> shift for x in words} == {q}
+
     def test_first_offset_alone_misses_periodic_rows(self, monkeypatch):
         # the row 0101 is its least rotation at offsets 0 and 2, so the
-        # class of (0011, 0101) has two members under it, (0101, 0011)
-        # and (0101, 1100); a table with only each row's first offset
+        # class of (0101, 0111) has two members under it, (0101, 0111)
+        # and (0101, 1101); a table with only each row's first offset
         # leaves the second unmarked, to be listed as a class of its own
         def first_only(m, n):
             rows, table, shift = necklace_moves(m, n)
@@ -161,16 +188,49 @@ class TestSieve:
         monkeypatch.setattr(torus, "necklace_moves", first_only)
         got = list(iter_representative_indices(MatrixShape(2, 4)))
         assert got != list(oracles.full_orbit_sieve(2, 4))
-        assert 0b0101_1100 in got
+        assert 0b0101_1101 in got
 
     def test_pass_moves_past_a_word_the_kernel_missed(self, monkeypatch):
         # a kernel that marks nothing: the pass must still end, listing
-        # every code under a necklace top row (000, 001, 011, 111)
-        monkeypatch.setattr(torus, "necklace_topped_words",
-                            lambda w, rows, table, shift: [])
+        # every code the fills leave, the words the filter tests
+        monkeypatch.setattr(torus, "top_row_words",
+                            lambda w, rows, block, shift: [])
         got = list(itertools.islice(
             iter_representative_indices(MatrixShape(2, 3)), 100))
-        assert got == [p << 3 | q for p in (0, 1, 3, 7) for q in range(8)]
+        assert got == oracles.pruned_candidates(2, 3, 0, 64)
+
+
+@st.composite
+def fill_cases(draw):
+    # blocks of 8 to 2^10 codes, the first levels narrower than a byte
+    # when n <= 2; chunks down to one byte write every level in place
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1 - (-3 // n), 1 + 10 // n))  # 3 <= n*(m-1) <= 10
+    chunk = draw(st.sampled_from([1, 2, 8, 64, torus.FILL_CHUNK]))
+    return m, n, chunk
+
+
+class TestFillBlock:
+    @settings(max_examples=60, deadline=None)
+    @example((3, 2, 1))
+    @example((5, 2, 2))
+    @example((4, 1, 1))
+    @given(fill_cases())
+    def test_matches_necklace_oracle(self, case):
+        m, n, chunk = case
+        depth, top = m - 1, (1 << n) - 1
+        size = 1 << (n * depth)  # codes in a block, a whole number of bytes
+        necklaces = [oracles.necklace(p, n) for p in range(1 << n)]
+        for q in sorted(set(necklaces)):
+            low = sum(1 << p for p in range(1 << n) if necklaces[p] < q)
+            # the block between two others, which must stay untouched
+            store = bytearray(3 * size >> 3)
+            with mock.patch.object(torus, "FILL_CHUNK", chunk):
+                fill_block(store, size >> 3, depth, n, low)
+            want = sum(1 << c for c in range(size)
+                       if any(necklaces[(c >> (n * i)) & top] < q
+                              for i in range(depth)))
+            assert int.from_bytes(store, "little") == want << size, (q, low)
 
 
 class TestEnumerateTorus:
