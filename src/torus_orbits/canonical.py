@@ -15,6 +15,9 @@ above r0, the moved word is above w whatever its other rows, so only
 the moves with rot_j(p_i) == r0 can give a word below w. Only those
 are built, each in one step, and compared with w; a row whose necklace
 is above r0 has none.
+
+One row, and one column (the same words under the same rotation), is
+answered apart: its canonical words are the necklaces, listed directly.
 """
 
 import functools
@@ -54,6 +57,46 @@ def _necklace_at_least(p, r0, n):
                 return None
             offsets += (j,)
     return offsets
+
+
+def _necklaces(n, start, stop):
+    """The binary necklaces of length n within [start, stop), ascending.
+
+    An FKM walk (Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms
+    37, 2000) over the prenecklaces w, at constant amortized cost each;
+    p is the length of w's longest Lyndon prefix, and w is a necklace iff
+    p divides n. The next prenecklace sets w's last 0 bit, drops the bits
+    after it and repeats the first p bits, p the length that remains.
+    """
+
+    def extend(w, p):
+        # w's first p bits, repeated to n bits
+        x, length = w >> (n - p), p
+        while length < n:
+            x, length = (x << length) | x, 2 * length
+        return x >> (length - n)
+
+    # seek: the least prenecklace at or above start is start itself, or
+    # else its longest prenecklace prefix extended with that prefix's p
+    w, p = start, 1
+    for i in range(1, n):
+        bit = (w >> (n - 1 - i)) & 1
+        back = (w >> (n - 1 - i + p)) & 1
+        if bit > back:
+            p = i + 1
+        elif bit < back:
+            w = extend(w, p)
+            break
+    top = (1 << n) - 1
+    while w < stop:
+        if n % p == 0:
+            yield w
+        if w == top:
+            return
+        w += 1
+        p = n - (w & -w).bit_length() + 1
+        if p < n:
+            w = extend(w, p)
 
 
 class _RowsUnder:
@@ -117,6 +160,11 @@ def iter_canonical_indices(shape, start=0, stop=None):
     if not (0 <= start <= stop <= total):
         raise RangeError(f"interval [{start}, {stop}) outside [0, {total})")
     m, n = shape.m, shape.n
+    if n == 1:  # one column: the same words and rotation as one row
+        m, n = 1, m
+    if m == 1:
+        yield from _necklaces(n, start, stop)
+        return
     row_low = row_low_mask(m, n)
     full = total - 1
     top = (1 << n) - 1
@@ -140,9 +188,6 @@ def iter_canonical_indices(shape, start=0, stop=None):
     for r0 in range(start >> shift, ((stop - 1) >> shift) + 1):
         offsets = _necklace_at_least(r0, r0, n)
         if offsets is None:
-            continue
-        if m == 1:  # one row: a necklace is its orbit minimum
-            yield r0
             continue
         # an odometer, not recursion, so tall shapes keep a flat stack:
         # walks[d] yields row d + 1 under stack[d], the word of rows 0..d

@@ -63,9 +63,7 @@ def _build_parser():
                             help="stream one representative per class")
     add_shape_args(p_enum)
     p_enum.add_argument("--method", choices=("sieve", "filter"),
-                        default=None,
-                        help="default: the filter, but the sieve for a "
-                             "full run on one row or one column")
+                        default="filter", help="default: filter")
     p_enum.add_argument("--format", choices=FORMATS, default="lines",
                         dest="fmt")
     p_enum.add_argument("--out", default=None,
@@ -91,21 +89,6 @@ def _representative_indices(shape, method, limit=None):
     if method == "sieve":
         return iter_representative_indices(shape)
     return iter_canonical_indices(shape)
-
-
-def _enumerate_method(shape, limit):
-    """enumerate's route when none is named.
-
-    The filter needs no visited store, so --limit lists the first classes
-    of any shape. A full run on one row or one column is faster by sieve:
-    there the necklace pruning leaves most codes to test. The sieve also
-    won every run on 2x10, 2x11, 2x12 and 10x2, but not on 2x8, 2x9 or
-    7x3, and lost every run on 4x5 and 5x5; no rule by shape separates
-    them, and no benchmark workload yet measures this route.
-    """
-    if limit is None and (shape.m == 1 or shape.n == 1):
-        return "sieve"
-    return "filter"
 
 
 def _decimal(value):
@@ -193,8 +176,7 @@ def cmd_count(args):
 
 def cmd_enumerate(args):
     shape = MatrixShape(args.m, args.n)
-    method = args.method or _enumerate_method(shape, args.limit)
-    indices = _representative_indices(shape, method, args.limit)
+    indices = _representative_indices(shape, args.method, args.limit)
     sink = nullcontext(sys.stdout) if args.out is None else _output(args.out)
     with sink as out:
         emitted = write_words(

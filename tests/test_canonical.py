@@ -74,11 +74,23 @@ class TestStream:
     def test_2x2_full_range(self):
         assert len(list(iter_canonical_indices(MatrixShape(2, 2)))) == 7
 
-    def test_tall_shape(self):
-        # one walk per row, not one stack frame: 2000 rows pass the
-        # interpreter's default recursion limit
-        assert list(iter_canonical_indices(MatrixShape(2000, 1), 0, 10)) == \
-            [0, 1, 3, 5, 7, 9]
+    @pytest.mark.parametrize("m,n", [(2000, 1), (1000, 2)])
+    def test_tall_shape(self, m, n):
+        # more rows than the interpreter's default recursion limit: one
+        # column is walked as one row, and two columns by the odometer,
+        # which keeps one walk per row, not one stack frame
+        shape = MatrixShape(m, n)
+        expected, seen = [], set()
+        for w in range(10):
+            # an orbit's minimum is its first word in an ascending walk
+            # from 0, so a word is kept iff no earlier orbit holds it
+            rows = code_at_index(shape, w).rows
+            if rows not in seen:
+                orbit = oracles.rows_orbit(rows, n)
+                assert min(orbit) == rows
+                expected.append(w)
+                seen |= orbit
+        assert list(iter_canonical_indices(shape, 0, 10)) == expected
 
     def test_empty_range(self):
         assert list(iter_canonical_indices(MatrixShape(2, 2), 5, 5)) == []
@@ -92,7 +104,8 @@ class TestStream:
             list(iter_canonical_indices(MatrixShape(2, 2), 9, 4))
 
     @pytest.mark.parametrize("step", [1, 97, 1000])
-    @pytest.mark.parametrize("m,n", [(3, 3), (4, 4), (2, 7)])
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 4), (2, 7), (1, 12),
+                                     (12, 1)])
     def test_range_partition_refines_full_output(self, m, n, step):
         shape = MatrixShape(m, n)
         total = 1 << shape.cells
@@ -107,6 +120,32 @@ class TestStream:
     def test_agrees_with_sieve(self, m, n):
         assert list(iter_canonical_indices(MatrixShape(m, n))) == \
             sieve_words(m, n)
+
+
+class TestNecklaces:
+    """The FKM walk that lists one-row and one-column shapes, against the
+    brute-force necklace oracle."""
+
+    def test_full_list(self):
+        # strictly ascending necklaces, as many as there are: all of them
+        for n in range(1, 21):
+            words = list(canonical._necklaces(n, 0, 1 << n))
+            assert words == sorted(set(words)), n
+            assert all(oracles.necklace(p, n) == p for p in words), n
+            assert len(words) == oracles.necklace_count(n), n
+
+    def test_every_range(self):
+        # starts that are no prenecklace, start = 2^n - 1, empty ranges
+        for n in range(1, 9):
+            total = 1 << n
+            necklaces = [p for p in range(total)
+                         if oracles.necklace(p, n) == p]
+            for start in range(total + 1):
+                for stop in range(start, total + 1):
+                    assert list(canonical._necklaces(n, start, stop)) == \
+                        necklaces[bisect_left(necklaces, start):
+                                  bisect_left(necklaces, stop)], \
+                        (n, start, stop)
 
 
 class TestPruning:
