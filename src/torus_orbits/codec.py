@@ -2,7 +2,8 @@
 
 An m x n binary matrix is identified with the m-tuple of its row values,
 each row read most-significant-bit-first as an n-digit binary numeral.
-The rotations act on the linearized word, in `torus.top_row_words`.
+The rotations act on the linearized word, in the sieve's pass
+(`torus.row_moves` and `torus.iter_representative_indices`).
 """
 
 from dataclasses import dataclass

@@ -14,9 +14,10 @@ other row's necklace is at least that top row. So the sieve's pass
 reads only the blocks of codes under a necklace top row q. Before
 reading one, it fills in the codes with a row whose necklace is below
 q, whose class minima lie in earlier blocks; of each class minimum it
-then marks only the orbit members with the same top row q, the rest of
-the class being filled. That is about 2 marks per class on 5x5, not
-m*n. No other block is ever touched, so only about 1/n of the store
+then marks only the other orbit members with the same top row q, the
+rest of the class being filled and the minimum's own bit set as the
+pass reads on. That is about 1 mark per class on 5x5, not m*n. No
+other block is ever touched, so only about 1/n of the store
 becomes resident. The filter (canonical.py) rests on the same facts
 but shares no code with the sieve, so `check` still compares two
 independent routes.
@@ -61,7 +62,7 @@ def row_low_mask(m, n):
 
 
 def necklace_moves(m, n):
-    """The constants of top_row_words for shape (m, n).
+    """The constants of the sieve's kernel for shape (m, n).
 
     Returns (rows, table, shift). rows holds, for each i in [0, m), the
     mask and shifts of the row rotation that puts row i on top. A column
@@ -72,7 +73,7 @@ def necklace_moves(m, n):
     is 0. Within SCAN_BUDGET, m >= 2 means n <= 16: at most 2^16
     entries. When the 2^(n*(m-1)) codes under one top row fill less
     than a byte (one row, 2x1, 3x1, 2x2), shift = m*n leaves index 0
-    instead, where table holds all n moves: the kernel lists whole
+    instead, where table holds all n moves: the kernel marks whole
     orbits, and the one block is the whole store.
     """
     row_low = row_low_mask(m, n)
@@ -116,8 +117,8 @@ def block_moves(table, q, n):
 
     table is necklace_moves(m, n)'s and q a necklace. The rotations of q
     keep their moves, which turn them into q; every other row has none.
-    So top_row_words with it lists only the words under top row q. For
-    a table of one entry (q = 0), the entry itself.
+    So the kernel with it marks only the words under top row q. For a
+    table of one entry (q = 0), the entry itself.
     """
     block = [()] * len(table)
     for p in row_rotations(q, n):
@@ -125,22 +126,20 @@ def block_moves(table, q, n):
     return block
 
 
-def top_row_words(w, rows, block, shift):
-    """The words of w's rotation orbit whose top row is the necklace q.
+def row_moves(x, rows, block, shift):
+    """The moves that put a rotation of q on top of the word x.
 
-    rows and shift are necklace_moves(m, n)'s, and block is
-    block_moves(table, q, n); the sieve passes w's own top row as q. For
-    each i in [0, m), the word with row i on top is turned by each
-    column move that makes its top row q, each word built from w in one
-    step; for a table of one entry, every member of the orbit. So every
-    such orbit member is listed, some more than once when w is periodic.
+    rows holds row moves (mask, a, b) of necklace_moves(m, n), shift is
+    the one it returns, and block is block_moves(table, q, n). For each
+    row move, in order, each column move (j, keep, low, k) of block that
+    turns the row it puts on top into q, joined into one flat move
+    (mask, a, b, j, keep, low, k); for a table of one entry, every
+    column move. A row move puts one row of x on top, so only that row
+    decides its column moves: the sieve finds those of a word's first
+    m - 1 rows from its prefix alone, with the last row zero.
     """
-    words = []
-    for mask, a, b in rows:
-        x = ((w & mask) << a) | (w >> b)
-        for j, keep, low, k in block[x >> shift]:
-            words.append(((x >> j) & keep) | ((x & low) << k))
-    return words
+    return [(mask, a, b) + move for mask, a, b in rows
+            for move in block[(((x & mask) << a) | (x >> b)) >> shift]]
 
 
 FILL_CHUNK = 1 << 16  # bytes: the largest pattern or run a fill builds
@@ -242,21 +241,31 @@ def iter_representative_indices(shape):
     ascending q. Before the pass reads a block, fill_block sets the bits
     of its codes with a row whose necklace is below q: each such class's
     minimum lies in an earlier block. Each zero bit left is a class
-    minimum, which is yielded and marked with the members of its
-    rotation orbit under the same top row q. Every other code of the
-    block is in the class of such a minimum, since all its rows'
-    necklaces are at least q. The pass reads the live store, and no
-    orbit member lies below its minimum, so every mark lands at or ahead
-    of the pass and inside the block. A block is 2^shift codes, a whole
-    number of bytes or the whole store, so no byte is shared with a
-    skipped block, where nothing is ever written. Only the pages of
-    those blocks become resident; the block under q = 0 needs no fill.
-    The reread keeps the bits already passed and adds w's own, so the
-    pass moves on even if the kernel missed w.
+    minimum w, which is yielded; then each move that puts a row of w on
+    top and turns it into q is applied to w and the word it gives is
+    marked: the members of w's rotation orbit under the same top row q.
+    Every other code of the block is in the class of such a minimum,
+    since all its rows' necklaces are at least q. The pass reads the
+    live store, and no orbit member lies below its minimum, so every
+    mark lands at or ahead of the pass and inside the block. A block is
+    2^shift codes, a whole number of bytes or the whole store, so no
+    byte is shared with a skipped block, where nothing is ever written.
+    Only the pages of those blocks become resident; the block under
+    q = 0 needs no fill.
+
+    The moves of w's first m - 1 rows depend on those rows alone, so
+    row_moves finds them once per prefix w >> n, which consecutive words
+    share, and the pass applies them inline, with the last row's column
+    moves from block. The identity, row 0 at offset 0, is left out: the
+    reread keeps the bits already passed and adds w's own, so it alone
+    passes w, and the pass moves on whatever the kernel marks.
     """
     m, n = shape.m, shape.n
     visited = VisitedStore(shape).bits
     rows, table, shift = necklace_moves(m, n)
+    upper_rows = rows[:-1]
+    top, up = (1 << n) - 1, n * (m - 1)  # the last row, and its move
+    sel = 0 if shift == m * n else top  # a one-entry table is read at 0
     bit = (1, 2, 4, 8, 16, 32, 64, 128)
     low = 0  # bit p set for each row p whose necklace is below q
     for q, moves in enumerate(table):
@@ -265,13 +274,26 @@ def iter_representative_indices(shape):
         start = (q << shift) >> 3
         if low:
             fill_block(visited, start, m - 1, n, low)
-        block = block_moves(table, q, n)
+        block = last = block_moves(table, q, n)
+        if m == 1:  # the last row is the top row: no identity move
+            last = [block[0][1:]]
+        key = None  # the prefix w >> n whose moves are kept
         for cursor in range(start, (((q + 1) << shift) + 7) >> 3):
             b = visited[cursor]
             while b != 0xFF:
                 w = (cursor << 3) | ((~b & (b + 1)).bit_length() - 1)
                 yield w
-                for x in top_row_words(w, rows, block, shift):
+                if (p := w >> n) != key:
+                    key = p
+                    # the first m - 1 rows' moves, bar the identity
+                    upper = row_moves(p << n, upper_rows, block, shift)[1:]
+                for mask, a, c, j, keep, lo, k in upper:
+                    x = ((w & mask) << a) | (w >> c)
+                    x = ((x >> j) & keep) | ((x & lo) << k)
+                    visited[x >> 3] |= bit[x & 7]
+                for j, keep, lo, k in last[w & sel]:
+                    x = ((w & top) << up) | (w >> n)
+                    x = ((x >> j) & keep) | ((x & lo) << k)
                     visited[x >> 3] |= bit[x & 7]
                 b |= visited[cursor] | (b + 1)
         for p in row_rotations(q, n):

@@ -20,42 +20,27 @@ def move_last_col_first(grid):
     return tuple(row[-1:] + row[:-1] for row in grid)
 
 
-def grid_orbit(grid):
-    """Closure of a grid under the two last-to-first moves."""
-    seen = {grid}
-    stack = [grid]
-    while stack:
-        g = stack.pop()
-        for h in (move_last_row_first(g), move_last_col_first(g)):
-            if h not in seen:
-                seen.add(h)
-                stack.append(h)
-    return seen
-
-
 def rows_to_grid(rows, n):
     return tuple(
         tuple((p >> (n - 1 - j)) & 1 for j in range(n)) for p in rows
     )
 
 
-def grid_to_rows(grid):
-    rows = []
-    for row in grid:
-        p = 0
-        for cell in row:
-            p = p * 2 + cell
-        rows.append(p)
-    return tuple(rows)
-
-
 def rows_orbit(rows, n):
-    """Orbit of a row tuple, via grid moves."""
-    return {grid_to_rows(g) for g in grid_orbit(rows_to_grid(rows, n))}
+    """Orbit of a row tuple: its m*n translations, each of the n
+    rotations of every row by string rotation, then each of the m
+    rotations of the row order by tuple slicing."""
+    m = len(rows)
+    strings = [format(p, f"0{n}b") for p in rows]
+    orbit = set()
+    for j in range(n):
+        turned = tuple(int(s[j:] + s[:j], 2) for s in strings)
+        orbit.update(turned[i:] + turned[:i] for i in range(m))
+    return orbit
 
 
 def orbit_partition_count(m, n):
-    """Number of rotation classes by exhaustive grid closure."""
+    """Number of rotation classes by exhaustive orbit listing."""
     seen = set()
     count = 0
     for w in range(1 << (m * n)):

@@ -23,7 +23,7 @@ from torus_orbits.torus import (
     block_moves,
     fill_block,
     necklace_moves,
-    top_row_words,
+    row_moves,
 )
 
 import oracles
@@ -62,9 +62,18 @@ class TestTupleIndex:
                 code_at_index(shape, idx)
 
 
+def moved_word(w, move):
+    """A flat move of row_moves applied to the word w: its row move,
+    then its column move."""
+    mask, a, b, j, keep, low, k = move
+    x = ((w & mask) << a) | (w >> b)
+    return ((x >> j) & keep) | ((x & low) << k)
+
+
 def visited_rows(rows, m, n, q):
-    """The row tuples of the sieve's kernel on a code, for any shape,
-    with the block table of the necklace q."""
+    """The row tuples the sieve's kernel reaches from a code of any
+    shape, with the block table of the necklace q: all m rows' moves,
+    the identity included."""
     w = 0
     for p in rows:
         w = (w << n) | p
@@ -72,7 +81,8 @@ def visited_rows(rows, m, n, q):
     rows_moves, table, shift = necklace_moves(m, n)
     block = block_moves(table, q, n)
     return [tuple((x >> (n * (m - 1 - i))) & top for i in range(m))
-            for x in top_row_words(w, rows_moves, block, shift)]
+            for x in (moved_word(w, move)
+                      for move in row_moves(w, rows_moves, block, shift))]
 
 
 @st.composite
@@ -117,6 +127,9 @@ class TestOrbitVisits:
         # the orbit members under top row q; for one row or blocks under
         # a byte, the whole orbit
         assert set(visits) == {r for r in orbit if whole or r[0] == q}
+        if whole or rows[0] == q:
+            # the identity comes first, and the pass leaves it out
+            assert visits[0] == rows
         shape = MatrixShape(m, n)
         w = tuple_index(TupleCode(rows, shape))
         # the filter's targeted test, which shares no code with the
@@ -169,12 +182,29 @@ class TestSieve:
             q = w >> shift
             if q not in blocks:
                 blocks[q] = block_moves(table, q, n)
-            words = top_row_words(w, rows, blocks[q], shift)
-            assert w in words
+            moves = row_moves(w, rows, blocks[q], shift)
+            words = [moved_word(w, move) for move in moves]
+            assert words[0] == w  # the identity, which the pass leaves out
             if whole:
                 assert len(words) == m * n
             else:
                 assert {x >> shift for x in words} == {q}
+            # the first m - 1 rows' moves depend on those rows alone, so
+            # the pass finds them from the prefix, the last row zero
+            assert row_moves(w >> n << n, rows[:-1], blocks[q], shift) == \
+                row_moves(w, rows[:-1], blocks[q], shift)
+
+    @pytest.mark.parametrize("m,n", [(4, 4), (3, 5), (10, 2)])
+    def test_row_moves_once_per_prefix(self, m, n, monkeypatch):
+        prefixes = []
+
+        def logged(x, rows, block, shift):
+            prefixes.append(x >> n)
+            return row_moves(x, rows, block, shift)
+
+        monkeypatch.setattr(torus, "row_moves", logged)
+        words = list(iter_representative_indices(MatrixShape(m, n)))
+        assert prefixes == sorted({w >> n for w in words})
 
     def test_first_offset_alone_misses_periodic_rows(self, monkeypatch):
         # the row 0101 is its least rotation at offsets 0 and 2, so the
@@ -191,13 +221,99 @@ class TestSieve:
         assert 0b0101_1101 in got
 
     def test_pass_moves_past_a_word_the_kernel_missed(self, monkeypatch):
-        # a kernel that marks nothing: the pass must still end, listing
-        # every code the fills leave, the words the filter tests
-        monkeypatch.setattr(torus, "top_row_words",
-                            lambda w, rows, block, shift: [])
+        # block tables with no moves, from which the kernel finds none,
+        # for the first rows or the last: the pass must still end,
+        # listing every code the fills leave, the words the filter tests
+        monkeypatch.setattr(torus, "block_moves",
+                            lambda table, q, n: [()] * len(table))
         got = list(itertools.islice(
             iter_representative_indices(MatrixShape(2, 3)), 100))
         assert got == oracles.pruned_candidates(2, 3, 0, 64)
+
+
+class _Read(int):
+    """A byte read from a MarkLog: or-ing into it keeps the operand."""
+
+    def __or__(self, other):
+        result = _Ored(int(self) | other)
+        result.operand = other
+        return result
+
+
+class _Ored(int):
+    operand = 0
+
+
+class MarkLog:
+    """A visited store's bits that log each mark made into them.
+
+    A mark is `bits[i] |= bit`: the read gives a _Read, or-ing the bit
+    into it gives an _Ored that keeps the bit, and writing that back
+    logs the code 8 * i + log2(bit). The pass's own rereads are or-ed
+    but never written back, and fills write slices, so neither is
+    logged.
+    """
+
+    def __init__(self, bits):
+        self.bits = bits
+        self.marks = []
+
+    def __getitem__(self, i):
+        value = self.bits[i]
+        return _Read(value) if isinstance(i, int) else value
+
+    def __setitem__(self, i, value):
+        if isinstance(value, _Ored):
+            self.marks.append((i << 3) | (value.operand.bit_length() - 1))
+        self.bits[i] = value
+
+
+def marks_by_word(m, n, monkeypatch):
+    """Yield each word the pass lists with the marks it makes after
+    listing it, through a MarkLog on the pass's store."""
+    logs = []
+
+    def logged_store(shape):
+        store = VisitedStore(shape)
+        store.bits = MarkLog(store.bits)
+        logs.append(store.bits)
+        return store
+
+    monkeypatch.setattr(torus, "VisitedStore", logged_store)
+    last = None
+    for w in iter_representative_indices(MatrixShape(m, n)):
+        if last is not None:
+            yield last, logs[0].marks
+        logs[0].marks = []
+        last = w
+    yield last, logs[0].marks
+
+
+class TestMarks:
+    @pytest.mark.parametrize("m,n", [(m, n) for m, n in SHAPES_UP_TO_20_CELLS
+                                     if m * n <= 16])
+    def test_each_mark_is_another_member_under_the_top_row(
+            self, m, n, monkeypatch):
+        # the marks after w: the orbit members under w's top row q, each
+        # as often as the kernel reaches it, less the identity; so w
+        # itself only by the other moves that fix it, and never if none
+        # does. All lie in w's block, at or ahead of the pass.
+        shift = necklace_moves(m, n)[2]
+        whole = n * (m - 1) < 3
+        for w, marks in marks_by_word(m, n, monkeypatch):
+            rows = code_at_index(MatrixShape(m, n), w).rows
+            orbit = oracles.rows_orbit(rows, n)
+            under_q = {tuple_index(TupleCode(r, MatrixShape(m, n)))
+                       for r in orbit if whole or r[0] == rows[0]}
+            assert marks.count(w) == m * n // len(orbit) - 1
+            assert set(marks) | {w} == under_q
+            assert min(marks, default=w) >= w
+            assert whole or {x >> shift for x in marks} <= {w >> shift}
+
+    def test_4x4_count(self, monkeypatch):
+        # the kernel's 9,555 moves less each of the 4,156 classes' identity
+        assert sum(len(marks) for _, marks in
+                   marks_by_word(4, 4, monkeypatch)) == 5399
 
 
 @st.composite
