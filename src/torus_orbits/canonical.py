@@ -5,8 +5,9 @@ independently (and concatenated in range order). Only some words are
 tested: a canonical word's top row r0 is a necklace (the least of its
 own rotations), and every row's necklace is at least r0, since a row
 rotation and a column rotation can bring any rotation of any row to
-the top. So the test runs on the words whose top row is a necklace and
-whose other rows have necklaces no lower than it, in ascending order.
+the top. So the test runs on the words whose top row is a necklace,
+listed by an FKM walk, and whose other rows have necklaces no lower
+than it, in ascending order; each row's necklace is found once per call.
 
 Nor does the test try every rotation. The move (i, j), row i to the
 top and its columns right-rotated by j, puts rot_j(p_i) on top, where
@@ -42,21 +43,17 @@ def _word_is_canonical(w, moves, full):
     return True
 
 
-def _necklace_at_least(p, r0, n):
-    """The offsets j in [0, n) whose right rotation of the n-bit row p
-    is r0, ascending; None if some rotation of p is below r0."""
-    if p < r0:
-        return None
-    col_shift = n - 1
-    offsets = (0,) if p == r0 else ()
-    x = p
+def _least_rotation(p, n):
+    """The n-bit row p's necklace (its least rotation) and the offsets j
+    in [0, n) whose right rotation of p gives it, ascending."""
+    least, offsets, x = p, (0,), p
     for j in range(1, n):
-        x = (x >> 1) | ((x & 1) << col_shift)
-        if x <= r0:
-            if x < r0:
-                return None
+        x = (x >> 1) | ((x & 1) << (n - 1))
+        if x < least:
+            least, offsets = x, (j,)
+        elif x == least:
             offsets += (j,)
-    return offsets
+    return least, offsets
 
 
 def _necklaces(n, start, stop):
@@ -102,50 +99,51 @@ def _necklaces(n, start, stop):
 class _RowsUnder:
     """The rows that may lie under top row r0: those whose necklace is >= r0.
 
-    Every such row is at least r0. Each is yielded as (p, offsets), its
-    offsets as _necklace_at_least gives them. The rows are found as walks
-    from r0 first reach them and kept, since the rows under the second
-    are walked again for every prefix; nothing beyond the furthest walk
-    is held.
+    Every such row is at least r0. Each is yielded as (p, offsets): the
+    offsets of row(p) where p's necklace is r0, and () where it is above.
+    The rows are found as walks from r0 first reach them and kept, since
+    the rows under the second are walked again for every prefix; nothing
+    beyond the furthest walk is held.
     """
 
-    def __init__(self, r0, n):
+    def __init__(self, r0, row):
         self.r0 = r0
-        self.n = n
-        self.top = (1 << n) - 1
+        self.row = row
         self.found = []  # every such row in [r0, self.untested), with offsets
         self.untested = r0
 
     def walk(self, lo, hi):
         """The rows in [max(lo, r0), hi], ascending."""
-        if lo <= self.r0 and hi == self.top < self.untested:
+        if lo > self.r0:  # a seek to a range's start: walked once, not kept
+            return filter(None, map(self._kept, range(lo, hi + 1)))
+        if hi + 1 == self.untested:
             return iter(self.found)  # all found: most walks of a full run
-        return self._walk(lo, hi)
+        return self._walk(hi)
 
-    def _walk(self, lo, hi):
-        r0, n, found = self.r0, self.n, self.found
-        if lo > r0:  # a seek to a range's start: walked once, so not kept
-            for p in range(lo, hi + 1):
-                offsets = _necklace_at_least(p, r0, n)
-                if offsets is not None:
-                    yield p, offsets
-            return
+    def _kept(self, p):
+        # p as yielded, or None if its necklace is below r0; found past
+        # the memo, as a seek's rows are walked once
+        least, offsets = self.row.__wrapped__(p)
+        if least >= self.r0:
+            return p, offsets if least == self.r0 else ()
+
+    def _walk(self, hi):
+        r0, row, found = self.r0, self.row, self.found
         i = 0
         while True:
             if i == len(found):  # past the rows found so far: find one more
                 p = self.untested
-                while (p <= hi
-                       and (offsets := _necklace_at_least(p, r0, n)) is None):
+                while p <= hi and (entry := row(p))[0] < r0:
                     p += 1
                 if p > hi:
                     self.untested = p
                     return
-                found.append((p, offsets))
+                found.append((p, entry[1] if entry[0] == r0 else ()))
                 self.untested = p + 1
-            row = found[i]
-            if row[0] > hi:
+            kept = found[i]
+            if kept[0] > hi:
                 return
-            yield row
+            yield kept
             i += 1
 
 
@@ -160,15 +158,16 @@ def iter_canonical_indices(shape, start=0, stop=None):
     if not (0 <= start <= stop <= total):
         raise RangeError(f"interval [{start}, {stop}) outside [0, {total})")
     m, n = shape.m, shape.n
-    if n == 1:  # one column: the same words and rotation as one row
-        m, n = 1, m
-    if m == 1:
-        yield from _necklaces(n, start, stop)
+    if m == 1 or n == 1:  # one column: the same words and rotation as a row
+        yield from _necklaces(m * n, start, stop)
         return
     row_low = row_low_mask(m, n)
     full = total - 1
     top = (1 << n) - 1
     last = m - 1
+
+    # each row's necklace and offsets, found once per call
+    row = functools.cache(lambda p: _least_rotation(p, n))
 
     @functools.cache
     def move(i, offsets):
@@ -185,14 +184,12 @@ def iter_canonical_indices(shape, start=0, stop=None):
                          min(top, ((stop - 1) >> shift) - base))
 
     shift = n * last
-    for r0 in range(start >> shift, ((stop - 1) >> shift) + 1):
-        offsets = _necklace_at_least(r0, r0, n)
-        if offsets is None:
-            continue
+    for r0 in _necklaces(n, start >> shift, ((stop - 1) >> shift) + 1):
+        offsets = row(r0)[1]
         # an odometer, not recursion, so tall shapes keep a flat stack:
         # walks[d] yields row d + 1 under stack[d], the word of rows 0..d
         # and the moves of those rows, less the identity (row 0, offset 0)
-        rows = _RowsUnder(r0, n)
+        rows = _RowsUnder(r0, row)
         stack = [(r0, (move(0, offsets[1:]), ()) if offsets[1:] else ())]
         walks = [walk(rows, r0, 1)]
         while walks:
@@ -207,9 +204,9 @@ def iter_canonical_indices(shape, start=0, stop=None):
                             full):
                         yield prefix | p
             else:
-                row = next(walks[-1], None)
-                if row is not None:
-                    p, offsets = row
+                kept = next(walks[-1], None)
+                if kept is not None:
+                    p, offsets = kept
                     w = (prefix << n) | p
                     stack.append((w, (move(depth, offsets), moves)
                                   if offsets else moves))

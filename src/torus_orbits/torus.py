@@ -72,16 +72,16 @@ def necklace_moves(m, n):
     (its necklace), ascending, so p is a necklace iff its first offset
     is 0. Within SCAN_BUDGET, m >= 2 means n <= 16: at most 2^16
     entries. When the 2^(n*(m-1)) codes under one top row fill less
-    than a byte (one row, 2x1, 3x1, 2x2), shift = m*n leaves index 0
-    instead, where table holds all n moves: the kernel marks whole
-    orbits, and the one block is the whole store.
+    than a byte (in the pass, one row and 2x2), shift = m*n leaves
+    index 0 instead, where table holds all n moves: the kernel marks
+    whole orbits, and the one block is the whole store.
     """
     row_low = row_low_mask(m, n)
     full = (1 << (m * n)) - 1
     rows = tuple((full >> (n * i), n * i, n * (m - i)) for i in range(m))
     moves = [(j, row_low * ((1 << (n - j)) - 1), row_low * ((1 << j) - 1),
               n - j) for j in range(n)]
-    if n * (m - 1) < 3:  # one row, or top-row blocks under a byte
+    if n * (m - 1) < 3:  # one row, or blocks under a byte (2x2 in the pass)
         return rows, (tuple(moves),), m * n
     table = [None] * (1 << n)
     steps = {}  # (first offset, period) -> its moves, shared by rows
@@ -261,6 +261,8 @@ def iter_representative_indices(shape):
     passes w, and the pass moves on whatever the kernel marks.
     """
     m, n = shape.m, shape.n
+    if n == 1:  # one column: the same words and rotation as one row
+        m, n = 1, m
     visited = VisitedStore(shape).bits
     rows, table, shift = necklace_moves(m, n)
     upper_rows = rows[:-1]

@@ -1,5 +1,8 @@
 import functools
 import random
+import subprocess
+import sys
+import tracemalloc
 from bisect import bisect_left
 
 import pytest
@@ -146,6 +149,93 @@ class TestNecklaces:
                         necklaces[bisect_left(necklaces, start):
                                   bisect_left(necklaces, stop)], \
                         (n, start, stop)
+
+
+class TestLeastRotation:
+    """The per-row necklace memo of the filter's walk, against the
+    brute-force necklaces and rotations of tests/oracles.py."""
+
+    def test_every_row(self):
+        for n in range(1, 13):
+            for p in range(1 << n):
+                least, offsets = canonical._least_rotation(p, n)
+                assert least == oracles.necklace(p, n), (n, p)
+                assert list(offsets) == \
+                    oracles.least_rotation_offsets(p, n), (n, p)
+
+    @pytest.mark.parametrize("m,n", [(2, 8), (3, 5), (4, 4)])
+    def test_each_row_once_per_run(self, monkeypatch, m, n):
+        # r0 = 0 walks every row, and the memo holds each for the run
+        rows = []
+        real = canonical._least_rotation
+
+        def counting(p, n):
+            rows.append(p)
+            return real(p, n)
+
+        monkeypatch.setattr(canonical, "_least_rotation", counting)
+        assert list(iter_canonical_indices(MatrixShape(m, n))) == \
+            sieve_words(m, n)
+        assert sorted(rows) == list(range(1 << n))
+
+
+def wide_filter_words(ranges):
+    """The filter's 2x40 words within each [start, stop) of ranges, from
+    a subprocess with a timeout: a walk up from the top row over the
+    2^40 last rows, instead of a seek to the range's start, cannot
+    finish."""
+    script = ("import sys\n"
+              "from torus_orbits import MatrixShape, iter_canonical_indices\n"
+              "args = [int(a) for a in sys.argv[1:]]\n"
+              "for start, stop in zip(args[::2], args[1::2]):\n"
+              "    print(*iter_canonical_indices(MatrixShape(2, 40), "
+              "start, stop))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         *(str(x) for bounds in ranges for x in bounds)],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    return [[int(w) for w in line.split()]
+            for line in proc.stdout.splitlines()]
+
+
+class TestWideSeek:
+    """Ranges on 2x40 whose last rows lie far above the top row r0."""
+
+    def test_one_word_ranges(self):
+        # (1, 2^k) has the move row 1 on top, right-rotated by k, to
+        # (1, 2^(40 - k)): canonical iff k <= 20; (1, 2^40 - 1) has none
+        words = [(1 << 40) | p for p in (1 << 20, 1 << 39, (1 << 40) - 1)]
+        assert wide_filter_words([(w, w + 1) for w in words]) == \
+            [[words[0]], [], [words[2]]]
+
+    def test_range_from_the_middle_of_a_row(self):
+        shape = MatrixShape(2, 40)
+
+        def is_minimum(w):
+            rows = code_at_index(shape, w).rows
+            return min(oracles.rows_orbit(rows, 40)) == rows
+
+        ranges = [((r0 << 40) | ((1 << 39) - 300),
+                   (r0 << 40) | ((1 << 39) + 300)) for r0 in (1, 5)]
+        expected = [[w for w in range(start, stop) if is_minimum(w)]
+                    for start, stop in ranges]
+        assert all(expected)
+        assert wide_filter_words(ranges) == expected
+
+    def test_a_seek_holds_no_rows(self):
+        # a seek's rows are walked once, so the memo keeps none of them:
+        # 10,000 would take megabytes
+        start = (1 << 40) | (1 << 39)
+        tracemalloc.start()
+        try:
+            words = iter_canonical_indices(MatrixShape(2, 40), start,
+                                           start + 10000)
+            assert sum(1 for _ in words) > 9000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestPruning:

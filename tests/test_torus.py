@@ -220,6 +220,21 @@ class TestSieve:
         assert got != list(oracles.full_orbit_sieve(2, 4))
         assert 0b0101_1101 in got
 
+    def test_one_column_is_passed_as_one_row(self, monkeypatch):
+        # the same words under the same rotation: 20x1 asks for the
+        # one-row table of 1x20, not the 2^1-entry table of 20x1
+        asked = []
+
+        def recorded(m, n):
+            asked.append((m, n))
+            return necklace_moves(m, n)
+
+        monkeypatch.setattr(torus, "necklace_moves", recorded)
+        got = list(iter_representative_indices(MatrixShape(20, 1)))
+        assert asked == [(1, 20)]
+        assert got == list(iter_representative_indices(MatrixShape(1, 20)))
+        assert asked == [(1, 20)] * 2
+
     def test_pass_moves_past_a_word_the_kernel_missed(self, monkeypatch):
         # block tables with no moves, from which the kernel finds none,
         # for the first rows or the last: the pass must still end,
@@ -297,9 +312,10 @@ class TestMarks:
         # the marks after w: the orbit members under w's top row q, each
         # as often as the kernel reaches it, less the identity; so w
         # itself only by the other moves that fix it, and never if none
-        # does. All lie in w's block, at or ahead of the pass.
+        # does. All lie in w's block, at or ahead of the pass. One column
+        # is passed as one row, whose orbits are marked whole.
         shift = necklace_moves(m, n)[2]
-        whole = n * (m - 1) < 3
+        whole = n == 1 or n * (m - 1) < 3
         for w, marks in marks_by_word(m, n, monkeypatch):
             rows = code_at_index(MatrixShape(m, n), w).rows
             orbit = oracles.rows_orbit(rows, n)
