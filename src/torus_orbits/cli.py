@@ -6,7 +6,6 @@ interrupted (SIGINT, as from Ctrl-C).
 """
 
 import argparse
-import itertools
 import os
 import stat
 import sys
@@ -178,9 +177,12 @@ def cmd_enumerate(args):
     shape = MatrixShape(args.m, args.n)
     indices = _representative_indices(shape, args.method, args.limit)
     sink = nullcontext(sys.stdout) if args.out is None else _output(args.out)
+    # any positive limit, where islice refuses one above sys.maxsize;
+    # the range goes first, so zip pulls no word past the limit
+    taken = indices if args.limit is None else (
+        w for _, w in zip(range(args.limit), indices))
     with sink as out:
-        emitted = write_words(
-            shape, itertools.islice(indices, args.limit), args.fmt, out)
+        emitted = write_words(shape, taken, args.fmt, out)
         exhausted = next(indices, None) is None
     summary = f"classes={emitted}" if exhausted else f"emitted={emitted}"
     print(summary, file=sys.stderr)

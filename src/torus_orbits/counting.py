@@ -62,15 +62,15 @@ def count_burnside(shape):
     cell cycles, so it fixes 2^(mn / lcm(a, b)) matrices, one free bit
     per cycle; phi(a) * phi(b) translations have that order. The sum
     therefore has d(m) * d(n) terms, not m * n. The identity's term,
-    2^(mn), is added first, so a shape too large for the host fails on
-    its first shift. All arithmetic is exact; the divisibility of the
-    sum by m*n is asserted rather than assumed.
+    2^(mn), comes before any factoring, so a shape too large for the
+    host fails on its first shift. All arithmetic is exact; the
+    divisibility of the sum by m*n is asserted rather than assumed.
     """
     m, n = shape.m, shape.n
+    total = 1 << (m * n)  # the identity's term
     col_orders = _divisor_totients(n)
-    total = 0
     for a, phi_a in _divisor_totients(m):
-        for b, phi_b in col_orders:
+        for b, phi_b in col_orders[a == 1:]:  # (1, 1) is counted
             total += phi_a * phi_b << (m * n // lcm(a, b))
     if total % (m * n):
         raise InternalError(

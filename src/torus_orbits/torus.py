@@ -64,41 +64,22 @@ def row_low_mask(m, n):
 def necklace_moves(m, n):
     """The constants of the sieve's kernel for shape (m, n).
 
-    Returns (rows, table, shift). rows holds, for each i in [0, m), the
-    mask and shifts of the row rotation that puts row i on top. A column
-    move (j, keep, low, n - j) right-rotates every row by j, and
-    table[x >> shift] is the column moves to apply to a word x: those
-    by the offsets j that turn x's top row p into its least rotation
-    (its necklace), ascending, so p is a necklace iff its first offset
-    is 0. Within SCAN_BUDGET, m >= 2 means n <= 16: at most 2^16
-    entries. When the 2^(n*(m-1)) codes under one top row fill less
-    than a byte (in the pass, one row and 2x2), shift = m*n leaves
-    index 0 instead, where table holds all n moves: the kernel marks
-    whole orbits, and the one block is the whole store.
+    Returns (rows, moves, shift). rows holds, for each i in [0, m), the
+    mask and shifts of the row rotation that puts row i on top. moves
+    holds the n column moves (j, keep, low, n - j), by j = 0 .. n - 1,
+    each of which right-rotates every row by j. A block of the pass is
+    the 2^shift codes under one top row, x >> shift: shift = n*(m - 1).
+    When those blocks fill less than a byte (in the pass, one row and
+    2x2), shift = m*n makes the whole store one block, under q = 0,
+    whose kernel marks whole orbits.
     """
     row_low = row_low_mask(m, n)
     full = (1 << (m * n)) - 1
     rows = tuple((full >> (n * i), n * i, n * (m - i)) for i in range(m))
-    moves = [(j, row_low * ((1 << (n - j)) - 1), row_low * ((1 << j) - 1),
-              n - j) for j in range(n)]
-    if n * (m - 1) < 3:  # one row, or blocks under a byte (2x2 in the pass)
-        return rows, (tuple(moves),), m * n
-    table = [None] * (1 << n)
-    steps = {}  # (first offset, period) -> its moves, shared by rows
-    for p in range(1 << n):
-        if table[p] is not None:
-            continue
-        # no rotation of p came earlier, so p is its rotations' least:
-        # walk them, rots[j] = rot_j(p), and rot_k(rots[j]) == p for the
-        # k = -j mod the period d
-        rots = row_rotations(p, n)
-        d = len(rots)
-        for j, x in enumerate(rots):
-            key = (-j % d, d)
-            if key not in steps:
-                steps[key] = tuple(moves[k] for k in range(key[0], n, d))
-            table[x] = steps[key]
-    return rows, table, n * (m - 1)
+    moves = tuple((j, row_low * ((1 << (n - j)) - 1),
+                   row_low * ((1 << j) - 1), n - j) for j in range(n))
+    # one row, or blocks under a byte (2x2 in the pass)
+    return rows, moves, m * n if n * (m - 1) < 3 else n * (m - 1)
 
 
 def row_rotations(p, n):
@@ -112,17 +93,20 @@ def row_rotations(p, n):
     return rots
 
 
-def block_moves(table, q, n):
-    """table cut down to the rows whose necklace is q.
+def block_moves(moves, q, n, size):
+    """The column moves of each of size rows that turn it into q.
 
-    table is necklace_moves(m, n)'s and q a necklace. The rotations of q
-    keep their moves, which turn them into q; every other row has none.
-    So the kernel with it marks only the words under top row q. For a
-    table of one entry (q = 0), the entry itself.
+    moves is necklace_moves(m, n)'s and q a necklace. Entry x of the
+    list, for x = rot_j(q) with q of period d, holds the moves by the
+    offsets -j mod d, -j mod d + d, ..., those that turn x back into q,
+    ascending; every other row has none. So the kernel with it marks
+    only the words under top row q. For the one block (size 1, q = 0),
+    entry 0 holds all n moves: the kernel marks whole orbits.
     """
-    block = [()] * len(table)
-    for p in row_rotations(q, n):
-        block[p] = table[p]
+    block = [()] * size
+    rots = row_rotations(q, n)
+    for j, x in enumerate(rots):
+        block[x] = moves[-j % len(rots)::len(rots)]
     return block
 
 
@@ -130,11 +114,11 @@ def row_moves(x, rows, block, shift):
     """The moves that put a rotation of q on top of the word x.
 
     rows holds row moves (mask, a, b) of necklace_moves(m, n), shift is
-    the one it returns, and block is block_moves(table, q, n). For each
-    row move, in order, each column move (j, keep, low, k) of block that
-    turns the row it puts on top into q, joined into one flat move
-    (mask, a, b, j, keep, low, k); for a table of one entry, every
-    column move. A row move puts one row of x on top, so only that row
+    the one it returns, and block is block_moves(moves, q, n, size). For
+    each row move, in order, each column move (j, keep, low, k) of block
+    that turns the row it puts on top into q, joined into one flat move
+    (mask, a, b, j, keep, low, k); for the one block, every column
+    move. A row move puts one row of x on top, so only that row
     decides its column moves: the sieve finds those of a word's first
     m - 1 rows from its prefix alone, with the last row zero.
     """
@@ -264,19 +248,20 @@ def iter_representative_indices(shape):
     if n == 1:  # one column: the same words and rotation as one row
         m, n = 1, m
     visited = VisitedStore(shape).bits
-    rows, table, shift = necklace_moves(m, n)
+    rows, moves, shift = necklace_moves(m, n)
     upper_rows = rows[:-1]
     top, up = (1 << n) - 1, n * (m - 1)  # the last row, and its move
-    sel = 0 if shift == m * n else top  # a one-entry table is read at 0
+    size = 1 << (m * n - shift)  # top rows: 2^n, or 1 for the one block
+    sel = size - 1
     bit = (1, 2, 4, 8, 16, 32, 64, 128)
     low = 0  # bit p set for each row p whose necklace is below q
-    for q, moves in enumerate(table):
-        if moves[0][0]:  # q is not its own least rotation
+    for q in range(size):
+        if low >> q & 1:  # a rotation of an earlier necklace
             continue
         start = (q << shift) >> 3
         if low:
             fill_block(visited, start, m - 1, n, low)
-        block = last = block_moves(table, q, n)
+        block = last = block_moves(moves, q, n, size)
         if m == 1:  # the last row is the top row: no identity move
             last = [block[0][1:]]
         key = None  # the prefix w >> n whose moves are kept

@@ -132,7 +132,8 @@ def test_criterion_5_operator_laws():
         for m, n in shapes:
             shape = MatrixShape(m, n)
             top = (1 << n) - 1
-            moves, table, shift = necklace_moves(m, n)
+            rows_moves, moves, shift = necklace_moves(m, n)
+            size = 1 << (m * n - shift)
             whole = n * (m - 1) < 3  # the kernel lists whole orbits
             # grids as tuples of '0'/'1' row strings, which the oracle
             # moves shift as they shift tuples of bits
@@ -154,7 +155,8 @@ def test_criterion_5_operator_laws():
                 q = 0 if whole else min(map(least_rotation, rows))
                 words = []
                 for mask, a, b, j, keep, low, k in row_moves(
-                        w, moves, block_moves(table, q, n), shift):
+                        w, rows_moves, block_moves(moves, q, n, size),
+                        shift):
                     x = ((w & mask) << a) | (w >> b)
                     words.append(((x >> j) & keep) | ((x & low) << k))
                 # k last-to-first row moves put row (m - k) % m on top

@@ -129,6 +129,8 @@ class TestCount:
         ("count", "100000000000", "100000000000"),  # OverflowError
         ("enumerate", "2147483648", "2147483648", "--method", "filter",
          "--limit", "1"),  # MemoryError, from 1 << cells
+        # 2^61 - 1, a prime: 2^(mn) fails before m is factored
+        ("count", "2305843009213693951", "1"),
     ])
     def test_host_cannot_hold_shape(self, argv):
         # 2^59 bytes or more: beyond any 64-bit address space
@@ -256,6 +258,15 @@ class TestEnumerate:
 
     def test_limit_above_total_reports_classes(self, capsys):
         code, out, err = run(capsys, "enumerate", "2", "2", "--limit", "99",
+                             "--format", "jsonl")
+        assert code == 0
+        assert len(out.splitlines()) == 7
+        assert "classes=7" in err
+
+    @pytest.mark.parametrize("method", ["sieve", "filter"])
+    def test_limit_beyond_63_bits(self, capsys, method):
+        code, out, err = run(capsys, "enumerate", "2", "2", "--limit",
+                             str(10**20), "--method", method,
                              "--format", "jsonl")
         assert code == 0
         assert len(out.splitlines()) == 7

@@ -72,14 +72,14 @@ def moved_word(w, move):
 
 def visited_rows(rows, m, n, q):
     """The row tuples the sieve's kernel reaches from a code of any
-    shape, with the block table of the necklace q: all m rows' moves,
-    the identity included."""
+    shape, with the block of the necklace q: all m rows' moves, the
+    identity included."""
     w = 0
     for p in rows:
         w = (w << n) | p
     top = (1 << n) - 1
-    rows_moves, table, shift = necklace_moves(m, n)
-    block = block_moves(table, q, n)
+    rows_moves, moves, shift = necklace_moves(m, n)
+    block = block_moves(moves, q, n, 1 << (m * n - shift))
     return [tuple((x >> (n * (m - 1 - i))) & top for i in range(m))
             for x in (moved_word(w, move)
                       for move in row_moves(w, rows_moves, block, shift))]
@@ -175,13 +175,13 @@ class TestSieve:
     def test_kernel_marks_only_under_the_minimum_top_row(self, m, n):
         # the rest of each class lies in later blocks, which their fills
         # cover; only the whole-orbit shapes mark whole orbits
-        rows, table, shift = necklace_moves(m, n)
+        rows, columns, shift = necklace_moves(m, n)
         whole = n * (m - 1) < 3
         blocks = {}
         for w in iter_representative_indices(MatrixShape(m, n)):
             q = w >> shift
             if q not in blocks:
-                blocks[q] = block_moves(table, q, n)
+                blocks[q] = block_moves(columns, q, n, 1 << (m * n - shift))
             moves = row_moves(w, rows, blocks[q], shift)
             words = [moved_word(w, move) for move in moves]
             assert words[0] == w  # the identity, which the pass leaves out
@@ -209,20 +209,19 @@ class TestSieve:
     def test_first_offset_alone_misses_periodic_rows(self, monkeypatch):
         # the row 0101 is its least rotation at offsets 0 and 2, so the
         # class of (0101, 0111) has two members under it, (0101, 0111)
-        # and (0101, 1101); a table with only each row's first offset
+        # and (0101, 1101); a block with only each row's first offset
         # leaves the second unmarked, to be listed as a class of its own
-        def first_only(m, n):
-            rows, table, shift = necklace_moves(m, n)
-            return rows, [moves[:1] for moves in table], shift
+        def first_only(moves, q, n, size):
+            return [row[:1] for row in block_moves(moves, q, n, size)]
 
-        monkeypatch.setattr(torus, "necklace_moves", first_only)
+        monkeypatch.setattr(torus, "block_moves", first_only)
         got = list(iter_representative_indices(MatrixShape(2, 4)))
         assert got != list(oracles.full_orbit_sieve(2, 4))
         assert 0b0101_1101 in got
 
     def test_one_column_is_passed_as_one_row(self, monkeypatch):
         # the same words under the same rotation: 20x1 asks for the
-        # one-row table of 1x20, not the 2^1-entry table of 20x1
+        # one-row constants of 1x20, not the 20-row ones of 20x1
         asked = []
 
         def recorded(m, n):
@@ -236,11 +235,11 @@ class TestSieve:
         assert asked == [(1, 20)] * 2
 
     def test_pass_moves_past_a_word_the_kernel_missed(self, monkeypatch):
-        # block tables with no moves, from which the kernel finds none,
-        # for the first rows or the last: the pass must still end,
-        # listing every code the fills leave, the words the filter tests
+        # blocks with no moves, from which the kernel finds none, for
+        # the first rows or the last: the pass must still end, listing
+        # every code the fills leave, the words the filter tests
         monkeypatch.setattr(torus, "block_moves",
-                            lambda table, q, n: [()] * len(table))
+                            lambda moves, q, n, size: [()] * size)
         got = list(itertools.islice(
             iter_representative_indices(MatrixShape(2, 3)), 100))
         assert got == oracles.pruned_candidates(2, 3, 0, 64)
