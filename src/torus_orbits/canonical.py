@@ -24,7 +24,6 @@ answered apart: its canonical words are the necklaces, listed directly.
 import functools
 
 from .errors import RangeError
-from .torus import row_low_mask
 
 
 def _word_is_canonical(w, moves, full):
@@ -161,9 +160,9 @@ def iter_canonical_indices(shape, start=0, stop=None):
     if m == 1 or n == 1:  # one column: the same words and rotation as a row
         yield from _necklaces(m * n, start, stop)
         return
-    row_low = row_low_mask(m, n)
     full = total - 1
     top = (1 << n) - 1
+    row_low = full // top  # the lowest bit of each row: a geometric sum
     last = m - 1
 
     # each row's necklace and offsets, found once per call

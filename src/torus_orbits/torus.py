@@ -23,6 +23,8 @@ but shares no code with the sieve, so `check` still compares two
 independent routes.
 """
 
+import itertools
+
 from .codec import TupleCode
 from .errors import CapacityError, RangeError
 
@@ -126,7 +128,7 @@ def row_moves(x, rows, block, shift):
             for move in block[(((x & mask) << a) | (x >> b)) >> shift]]
 
 
-FILL_CHUNK = 1 << 16  # bytes: the largest pattern or run a fill builds
+FILL_CHUNK = 1 << 16  # bytes: the largest pattern a fill builds and writes
 
 
 def fill_block(visited, start, depth, n, low):
@@ -134,46 +136,28 @@ def fill_block(visited, start, depth, n, low):
 
     The block starts at byte start of visited and holds the 2^(n*depth)
     codes of depth n-bit rows below its top row, the last row least
-    significant, at least 8 of them; bit r of low marks row r. The bits
-    are built from the last row up: the level of k rows is 2^n
-    sub-blocks of k - 1 rows, all ones under a marked row and the level
-    below otherwise. Levels whose sub-blocks are narrower than a byte
-    are built as ints, then bytes up to FILL_CHUNK, and the levels above
-    are written in place, one sub-block at a time, so no temporary
-    exceeds FILL_CHUNK bytes whatever the block's size.
+    significant, at least 8 of them; bit r of low marks row r. The level
+    of k rows is 2^n sub-blocks of k - 1 rows, all ones under a marked
+    row and the level below otherwise. One loop builds the levels from
+    the last row up as an int, from low, the level of one row, until the
+    pattern spans at least a byte and the next level would exceed
+    FILL_CHUNK bytes or the block. A second walks the sub-blocks of that
+    size above it in block order and writes each one: all ones if any
+    row above it is marked, else the pattern. So no temporary exceeds
+    FILL_CHUNK bytes whatever the block's size.
     """
     marked = format(low, f"0{1 << n}b")[::-1]  # "1" at each row in low
     level, width, pattern = 1, 1 << n, low
-    while width < 8:
+    while width < 8 or (level < depth and width << n <= FILL_CHUNK << 3):
         ones = (1 << width) - 1
         pattern = sum((ones if out == "1" else pattern) << (r * width)
                       for r, out in enumerate(marked))
         level, width = level + 1, width << n
     pattern = pattern.to_bytes(width >> 3, "little")
-    while level < depth and len(pattern) << n <= FILL_CHUNK:
-        ones = b"\xff" * len(pattern)
-        pattern = b"".join([ones if out == "1" else pattern
-                            for out in marked])
-        level += 1
-    _write_levels(visited, start, depth - level, pattern, marked, n)
-
-
-def _write_levels(visited, start, k, pattern, marked, n):
-    """Write at byte start the level k rows above pattern's, as
-    fill_block builds it: each sub-block all ones or written the same
-    way, one level down."""
-    if not k:
-        visited[start:start + len(pattern)] = pattern
-        return
-    size = len(pattern) << (n * (k - 1))
-    for out in marked:
-        if out == "0":
-            _write_levels(visited, start, k - 1, pattern, marked, n)
-        else:
-            ones = b"\xff" * min(size, FILL_CHUNK)
-            for s in range(start, start + size, len(ones)):
-                visited[s:s + len(ones)] = ones
-        start += size
+    ones = b"\xff" * len(pattern)
+    for outs in itertools.product(marked, repeat=depth - level):
+        visited[start:start + len(pattern)] = ones if "1" in outs else pattern
+        start += len(pattern)
 
 
 def check_exhaustive(shape, budget=SCAN_BUDGET):

@@ -1,9 +1,11 @@
+import ast
 import functools
 import random
 import subprocess
 import sys
 import tracemalloc
 from bisect import bisect_left
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,7 @@ from torus_orbits import (
     iter_representative_indices,
     tuple_index,
 )
-from torus_orbits import canonical
+from torus_orbits import canonical, torus
 
 import oracles
 
@@ -24,6 +26,26 @@ import oracles
 def canonical_words(shape, words):
     """The words of the iterable that the filter keeps, one at a time."""
     return [w for w in words if list(iter_canonical_indices(shape, w, w + 1))]
+
+
+def imported_modules(module):
+    """The last dotted part of each module or name that module's source
+    imports: `from .torus import f` gives torus and f."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return {name.rsplit(".", 1)[-1] for name in names}
+
+
+def test_filter_and_sieve_import_nothing_from_each_other():
+    # check compares the two routes: a helper they shared would fail
+    # both alike, and the comparison could not see it
+    assert "torus" not in imported_modules(canonical)
+    assert "canonical" not in imported_modules(torus)
 
 
 def test_zero_code_is_canonical():

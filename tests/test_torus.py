@@ -1,5 +1,6 @@
 import itertools
 import os
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -346,6 +347,8 @@ class TestFillBlock:
     @example((3, 2, 1))
     @example((5, 2, 2))
     @example((4, 1, 1))
+    @example((8, 2, 1))  # 2-bit rows, built up from under a byte, 5 above
+    @example((4, 3, 1))  # a one-row pattern, 2 levels above
     @given(fill_cases())
     def test_matches_necklace_oracle(self, case):
         m, n, chunk = case
@@ -362,6 +365,29 @@ class TestFillBlock:
                        if any(necklaces[(c >> (n * i)) & top] < q
                               for i in range(depth)))
             assert int.from_bytes(store, "little") == want << size, (q, low)
+
+    @pytest.mark.parametrize("m,n", [(5, 6), (13, 2)])
+    def test_temporaries_stay_under_the_chunk(self, m, n):
+        # a 2 MiB block, 512 chunks: a fill that built it whole would
+        # trace megabytes
+        chunk, depth = 1 << 12, m - 1
+        necklaces = sorted({oracles.necklace(p, n) for p in range(1 << n)})
+        q = necklaces[len(necklaces) // 2]
+        low = sum(1 << p for p in range(1 << n)
+                  if oracles.necklace(p, n) < q)
+        store = bytearray(1 << (n * depth - 3))
+        assert len(store) >= 256 * chunk
+        tracemalloc.start()
+        try:
+            with mock.patch.object(torus, "FILL_CHUNK", chunk):
+                fill_block(store, 0, depth, n, low)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * chunk, peak
+        unmarked = (1 << n) - bin(low).count("1")
+        assert (int.from_bytes(store, "little").bit_count()
+                == (1 << (n * depth)) - unmarked ** depth)
 
 
 class TestEnumerateTorus:
