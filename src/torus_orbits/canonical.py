@@ -9,13 +9,22 @@ the top. So the test runs on the words whose top row is a necklace,
 listed by an FKM walk, and whose other rows have necklaces no lower
 than it, in ascending order; each row's necklace is found once per call.
 
-Nor does the test try every rotation. The move (i, j), row i to the
-top and its columns right-rotated by j, puts rot_j(p_i) on top, where
-p_i is row i, and on a tested word that row is at least r0. Where it is
-above r0, the moved word is above w whatever its other rows, so only
-the moves with rot_j(p_i) == r0 can give a word below w. Only those
-are built, each in one step, and compared with w; a row whose necklace
-is above r0 has none.
+Nor does the test try every rotation, or compare whole words. The move
+(i, j), row i to the top and its columns right-rotated by j, puts
+rot_j(p_i) on top, where p_i is row i, and on a tested word that row is
+at least r0. Where it is above r0, the moved word is above w whatever
+its other rows, so only the moves with rot_j(p_i) == r0 can give a word
+below w: the open moves, which a row whose necklace is above r0 never
+opens. As in R. C. Read's orderly generation ("Every one a winner", Ann.
+Discrete Math. 2, 1978), the odometer that lists the words carries them
+row by row: each row p_k it adds gives each open move one more moved
+row, rot_j(p_k), to compare with p_(k - i). Where that row is below
+w's, every word under the prefix is beaten and its whole subtree is
+skipped; where it is above, the move is dropped; where it ties, the
+move stays open. So on the last row each open move costs one row
+compare, and only a tie, where the wrapped rows rot_j(p_0 .. p_(i - 1))
+decide, and the last row's own moves compare the whole moved word with
+w.
 
 One row, and one column (the same words under the same rotation), is
 answered apart: its canonical words are the necklaces, listed directly.
@@ -24,22 +33,6 @@ answered apart: its canonical words are the necklaces, listed directly.
 import functools
 
 from .errors import RangeError
-
-
-def _word_is_canonical(w, moves, full):
-    """Whether no move in moves gives a word below w.
-
-    moves is a linked list, (move, moves) or (). A move is the shifts
-    (a, b) of the row rotation that puts some row on top, and cols, the
-    column rotations that turn that row into r0.
-    """
-    while moves:
-        (a, b, cols), moves = moves
-        x = ((w << a) & full) | (w >> b)
-        for j, keep, low, k in cols:
-            if ((x >> j) & keep) | ((x & low) << k) < w:
-                return False
-    return True
 
 
 def _least_rotation(p, n):
@@ -182,34 +175,66 @@ def iter_canonical_indices(shape, start=0, stop=None):
         return rows.walk((start >> shift) - base,
                          min(top, ((stop - 1) >> shift) - base))
 
+    def beaten(w, i, offsets):
+        # whether putting row i on top, turned by one of offsets, gives a
+        # word below w: the whole word, moved and compared
+        a, b, cols = move(i, offsets)
+        x = ((w << a) & full) | (w >> b)
+        for j, keep, low, k in cols:
+            if ((x >> j) & keep) | ((x & low) << k) < w:
+                return True
+        return False
+
     shift = n * last
     for r0 in _necklaces(n, start >> shift, ((stop - 1) >> shift) + 1):
-        offsets = row(r0)[1]
         # an odometer, not recursion, so tall shapes keep a flat stack:
         # walks[d] yields row d + 1 under stack[d], the word of rows 0..d
-        # and the moves of those rows, less the identity (row 0, offset 0)
+        # and its open moves (j, n*i), each of which, row i on top and
+        # right-rotated by j, ties the word on every row so far. Row 0's
+        # offsets, less the identity, open the first; each row pushed
+        # opens its own, which put r0 on top.
         rows = _RowsUnder(r0, row)
-        stack = [(r0, (move(0, offsets[1:]), ()) if offsets[1:] else ())]
+        stack = [(r0, [(j, 0) for j in row(r0)[1][1:]])]
         walks = [walk(rows, r0, 1)]
         while walks:
             depth = len(walks)
             prefix, moves = stack[-1]
-            if depth == last:
-                prefix <<= n
+            prefix <<= n
+            if depth < last:
+                # the new row is each open move's next moved row: below
+                # the word's, it beats every word under the new prefix,
+                # whose subtree is skipped; above it, the move is dropped
                 for p, offsets in walks[-1]:
-                    if _word_is_canonical(
-                            prefix | p,
-                            (move(last, offsets), moves) if offsets else moves,
-                            full):
-                        yield prefix | p
-            else:
-                kept = next(walks[-1], None)
-                if kept is not None:
-                    p, offsets = kept
-                    w = (prefix << n) | p
-                    stack.append((w, (move(depth, offsets), moves)
-                                  if offsets else moves))
-                    walks.append(walk(rows, w, depth + 1))
-                    continue
-            walks.pop()
+                    w = prefix | p
+                    kept = []
+                    for j, s in moves:
+                        x = ((p >> j) | (p << (n - j))) & top
+                        y = (w >> s) & top
+                        if x < y:
+                            break
+                        if x == y:
+                            kept.append((j, s))
+                    else:
+                        kept.extend((j, n * depth) for j in offsets)
+                        stack.append((w, kept))
+                        walks.append(walk(rows, w, depth + 1))
+                        break
+                else:
+                    walks.pop()
+                    stack.pop()
+                continue
+            # the last row settles each open move by one row compare,
+            # with row m - 1 - i (the candidate row itself when i = 0),
+            # unless it ties: then the wrapped rows decide, and the whole
+            # moved word is compared, as for the last row's own moves
+            for p, offsets in walks.pop():
+                w = prefix | p
+                for j, s in moves:
+                    x = ((p >> j) | (p << (n - j))) & top
+                    y = (w >> s) & top
+                    if x < y or x == y and beaten(w, s // n, (j,)):
+                        break
+                else:
+                    if not offsets or not beaten(w, last, offsets):
+                        yield w
             stack.pop()

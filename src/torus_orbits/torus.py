@@ -138,23 +138,28 @@ def fill_block(visited, start, depth, n, low):
     codes of depth n-bit rows below its top row, the last row least
     significant, at least 8 of them; bit r of low marks row r. The level
     of k rows is 2^n sub-blocks of k - 1 rows, all ones under a marked
-    row and the level below otherwise. One loop builds the levels from
-    the last row up as an int, from low, the level of one row, until the
-    pattern spans at least a byte and the next level would exceed
-    FILL_CHUNK bytes or the block. A second walks the sub-blocks of that
-    size above it in block order and writes each one: all ones if any
-    row above it is marked, else the pattern. So no temporary exceeds
-    FILL_CHUNK bytes whatever the block's size.
+    row and the level below otherwise. The levels are built from the
+    last row up: from low, the level of one row, as an int until the
+    pattern spans at least a byte, then as bytes, each level one join of
+    its sub-blocks, while the next level stays within FILL_CHUNK bytes
+    and the block. A last loop walks the sub-blocks of that size above
+    it in block order and writes each one: all ones if any row above it
+    is marked, else the pattern. So no temporary exceeds FILL_CHUNK
+    bytes whatever the block's size.
     """
     marked = format(low, f"0{1 << n}b")[::-1]  # "1" at each row in low
     level, width, pattern = 1, 1 << n, low
-    while width < 8 or (level < depth and width << n <= FILL_CHUNK << 3):
+    while width < 8:
         ones = (1 << width) - 1
         pattern = sum((ones if out == "1" else pattern) << (r * width)
                       for r, out in enumerate(marked))
         level, width = level + 1, width << n
     pattern = pattern.to_bytes(width >> 3, "little")
     ones = b"\xff" * len(pattern)
+    while level < depth and len(pattern) << n <= FILL_CHUNK:
+        pattern = b"".join(ones if out == "1" else pattern for out in marked)
+        ones = b"\xff" * len(pattern)
+        level += 1
     for outs in itertools.product(marked, repeat=depth - level):
         visited[start:start + len(pattern)] = ones if "1" in outs else pattern
         start += len(pattern)

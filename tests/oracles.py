@@ -134,6 +134,43 @@ def pruned_candidates(m, n, start, stop):
     return words
 
 
+def filter_walks(m, n, start, stop):
+    """The prefixes the filter walks the rows under, in the order it walks
+    them, each as (depth, prefix, rows).
+
+    prefix holds rows 0..depth, depth < m - 1, and some word of [start,
+    stop) starts with it. Its top row r0 is a necklace, its rows'
+    necklaces are at least r0, and no move beats it on its complete rows:
+    for no i <= depth and no turn j are rows i..depth, each turned by j
+    string rotations, below rows 0..depth - i. rows lists the rows p whose
+    necklaces are at least r0 and under which some word of the range
+    starts with prefix and p, ascending.
+    """
+    top = (1 << n) - 1
+    necklaces = [necklace(p, n) for p in range(1 << n)]
+    walks = []
+    for depth in range(m - 1):
+        shift = n * (m - 1 - depth)
+        for prefix in range(start >> shift, ((stop - 1) >> shift) + 1):
+            rows = [(prefix >> (n * (depth - i))) & top
+                    for i in range(depth + 1)]
+            r0 = rows[0]
+            if necklaces[r0] != r0 or min(necklaces[p] for p in rows) < r0:
+                continue
+            strings = [format(p, f"0{n}b") for p in rows]
+            if any([int(s[j:] + s[:j], 2) for s in strings[i:]]
+                   < rows[:depth + 1 - i]
+                   for i in range(depth + 1) for j in range(n)):
+                continue
+            below = shift - n
+            under = tuple(p for p in range(1 << n) if necklaces[p] >= r0
+                          and start >> below <= (prefix << n) | p
+                          <= (stop - 1) >> below)
+            walks.append((prefix << shift, depth, prefix, under))
+    # a prefix is walked before the longer prefixes that start with it
+    return [walk[1:] for walk in sorted(walks)]
+
+
 def translation_cycle_count(i, j, m, n):
     """Number of cell cycles of the translation (i, j) on the m x n torus."""
     return m * n // lcm(m // gcd(i, m), n // gcd(j, n))
