@@ -7,9 +7,12 @@ jsonl  - one JSON record per matrix with the shape, row codes and rows.
 Each record is built straight from the matrix's linearized word: its
 n-bit rows are sliced out of the word and their text is made once per
 row value for rows of up to 16 bits, so no table outgrows 2^16 entries.
-Consecutive words mostly share their first m - 1 rows, so the text of
-those rows is kept for the last prefix (w >> n) seen and rebuilt only
-when it changes; each record then formats only its last row.
+Consecutive words mostly share all but their last k rows: the last row
+for rows of 5 bits or more, min(m, 8 // n) rows for narrower ones. So
+the text of the rows above them is kept for the last prefix (w >> n*k)
+seen and rebuilt only when it changes, and the text of the k tail rows
+is made once per tail value, a key of at most 8 bits for k > 1; each
+record then looks up only its tail.
 """
 
 import functools
@@ -27,35 +30,45 @@ def write_words(shape, words, fmt, out):
         raise ValueError(f"unknown format {fmt!r}")
     m, n = shape.m, shape.n
     top = (1 << n) - 1
-    shifts = tuple(range(n * (m - 2), -1, -n))  # all rows but the last
+    k = min(m, max(1, 8 // n))  # the tail rows
+    cut, low = n * k, (1 << n * k) - 1
+    shifts = tuple(range(n * (m - k - 1), -1, -n))  # the rows above them
     bits = f"0{n}b"
     # Rows of at most 16 bits recur from record to record, so their text
     # is cached. Under the budget only one-row shapes have wider rows in
     # a full run, and there no row recurs, so a cache would only grow.
     memo = functools.cache if n <= 16 else (lambda fill: fill)
+
+    def tail(row, sep):
+        # the text of k tail rows, joined by sep, from the row's own memo
+        return row if k == 1 else memo(lambda t: sep.join(
+            [row((t >> s) & top) for s in range(cut - n, -1, -n)]))
+
     count = 0
-    key = None  # the prefix w >> n whose text is kept
+    key = None  # the prefix w >> cut whose text is kept
     if fmt == "jsonl":
         # the bytes of json.dumps(record, separators=(",", ":"))
         head = f'{{"m":{m},"n":{n},"tuple":['
         decimal = memo(repr)
         quoted = memo(lambda p: f'"{p:{bits}}"')
+        last_decimal, last_quoted = tail(decimal, ","), tail(quoted, ",")
         for count, w in enumerate(words, 1):
-            if (p := w >> n) != key:
+            if (p := w >> cut) != key:
                 key = p
                 rows = [(p >> s) & top for s in shifts]
                 tup = head + "".join([decimal(r) + "," for r in rows])
                 txt = "".join([quoted(r) + "," for r in rows])
-            out.write(f'{tup}{decimal(w & top)}],"rows":['
-                      f'{txt}{quoted(w & top)}]}}\n')
+            out.write(f'{tup}{last_decimal(w & low)}],"rows":['
+                      f'{txt}{last_quoted(w & low)}]}}\n')
         return count
     gap, head = (" ", f"P1\n{n} {m}\n") if fmt == "pbm" else ("", "")
     line = memo(lambda p: gap.join(format(p, bits)) + "\n")
+    last_line = tail(line, "")
     for count, w in enumerate(words, 1):
-        if (p := w >> n) != key:
+        if (p := w >> cut) != key:
             key = p
             text = "".join([line((p >> s) & top) for s in shifts])
-        out.write(head + text + line(w & top))
+        out.write(head + text + last_line(w & low))
         if fmt == "lines":
             head = "\n"  # a blank line between records
     return count

@@ -165,18 +165,17 @@ def fill_block(visited, start, depth, n, low):
         start += len(pattern)
 
 
-def check_exhaustive(shape, budget=SCAN_BUDGET):
-    """Refuse a scan of the whole ground set beyond budget codes.
+def check_exhaustive(shape):
+    """Refuse a scan of the whole ground set beyond SCAN_BUDGET codes.
 
     The sieve keeps one visited bit per code of all 2^(m*n), though it
     reads only the blocks under a necklace top row; the filter tests at
-    most that many codes. The budget is SCAN_BUDGET
-    (33 cells), or 2^20 (20 cells) for `check`, which runs both.
+    most that many codes. So either route takes at most 33 cells.
     """
-    # 2^cells > budget, without building 2^cells for a huge shape
-    if shape.cells >= budget.bit_length():
-        raise CapacityError(f"2^{shape.cells} codes exceed the {budget}-code "
-                            "budget of an exhaustive scan")
+    # 2^cells > SCAN_BUDGET, without building 2^cells for a huge shape
+    if shape.cells >= SCAN_BUDGET.bit_length():
+        raise CapacityError(f"2^{shape.cells} codes exceed the {SCAN_BUDGET}"
+                            "-code budget of an exhaustive scan")
 
 
 class VisitedStore:

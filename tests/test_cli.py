@@ -7,12 +7,14 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torus_orbits import MatrixShape, TupleCode, cli, count_burnside
+from torus_orbits.canonical import iter_canonical_indices
 from torus_orbits.formats import FORMATS
 
 import oracles
@@ -94,16 +96,18 @@ class TestCount:
         assert proc.stdout == expected + "\n"
 
     def test_small_counts_never_load_decimal(self):
-        # decimal is imported only for counts above 2048 bits, so
-        # start-up and the filter's counts do not pay for it
+        # decimal is imported only for counts above 2048 bits, and heapq
+        # only by check, so start-up, the filter's counts and enumerate
+        # do not pay for them
         script = ("import sys; from torus_orbits import cli; "
                   "cli.main(['count', '3', '3']); "
                   "cli.main(['count', '4', '6', '--method', 'filter']); "
-                  "print('decimal' in sys.modules)")
+                  "cli.main(['enumerate', '1', '2']); "
+                  "print('decimal' in sys.modules, 'heapq' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "64\n699600\nFalse\n"
+        assert proc.stdout == "64\n699600\n00\n\n01\n\n11\nFalse False\n"
 
     def test_sieve_capacity(self, capsys):
         code, _, err = run(capsys, "count", "8", "8", "--method", "sieve")
@@ -482,10 +486,22 @@ class TestEnumerate:
         assert used == [route]
 
 
+def check_with_filter(capsys, monkeypatch, shape, edit):
+    """Run check on shape with the filter's words passed through edit."""
+    def edited(shape):
+        indices = list(iter_canonical_indices(shape))
+        edit(indices)
+        return iter(indices)
+
+    monkeypatch.setattr(cli, "iter_canonical_indices", edited)
+    return run(capsys, "check", *shape)
+
+
 class TestCheck:
     @pytest.mark.parametrize("m,n,count", [
         ("2", "2", "7"), ("3", "3", "64"), ("1", "4", "6"),
         ("1", "17", "7712"),
+        ("4", "6", "699600"),  # 24 cells, within each route's limit
     ])
     def test_agreement(self, capsys, m, n, count):
         code, out, _ = run(capsys, "check", m, n)
@@ -495,9 +511,9 @@ class TestCheck:
         assert "all methods agree" in out
 
     def test_guarded_shape(self, capsys):
-        code, _, err = run(capsys, "check", "5", "5")
+        code, _, err = run(capsys, "check", "6", "6")
         assert code == 3
-        assert "1048576-code budget" in err
+        assert "8589934592-code budget" in err
         assert err.splitlines()[1].startswith("hint: ")
         # a subprocess with a timeout: past the routes' guard, Burnside
         # would fail on a 2^62-bit integer with no hint
@@ -506,24 +522,55 @@ class TestCheck:
              "2147483648", "2147483648"],
             capture_output=True, text=True, timeout=30)
         assert proc.returncode == 3
-        assert "1048576-code budget" in proc.stderr
+        assert "8589934592-code budget" in proc.stderr
         assert proc.stderr.splitlines()[1].startswith("hint: ")
 
     def test_mismatch_reported(self, capsys, monkeypatch):
-        real = cli.iter_canonical_indices
+        # a small shape and one of 21 cells, over 2^20 codes
+        for shape in ("3", "3"), ("3", "7"):
+            code, out, err = check_with_filter(
+                capsys, monkeypatch, shape, lambda indices: indices.pop(5))
+            assert code == 1
+            assert "MISMATCH" in err
+            assert "representative sequences: MISMATCH" in out
+            assert out.count("only in sieve:") == 1
+            assert "only in filter:" not in out
 
-        def dropping_one(shape):
-            indices = list(real(shape))
-            del indices[5]
-            return iter(indices)
-
-        monkeypatch.setattr(cli, "iter_canonical_indices", dropping_one)
-        code, out, err = run(capsys, "check", "3", "3")
+    def test_repeated_word_reported(self, capsys, monkeypatch):
+        code, out, err = check_with_filter(
+            capsys, monkeypatch, ("3", "7"),
+            lambda indices: indices.insert(5, indices[5]))
         assert code == 1
         assert "MISMATCH" in err
-        assert "representative sequences: MISMATCH" in out
-        assert out.count("only in sieve:") == 1
-        assert "only in filter:" not in out
+        assert "sieve: 99880\nfilter: 99881\n" in out
+        assert out.count("  in filter, filter, sieve: ") == 1
+        assert "only in" not in out
+
+    def test_swapped_words_reported(self, capsys, monkeypatch):
+        # the same words and counts, in another order
+        def swap(indices):
+            indices[5], indices[6] = indices[6], indices[5]
+
+        code, out, err = check_with_filter(capsys, monkeypatch, ("3", "7"),
+                                           swap)
+        assert code == 1
+        assert "MISMATCH" in err
+        assert out.count(": 99880\n") == 3
+        # each of the two words is out of step with the sieve once
+        assert out.count("only in sieve:") == 2
+        assert out.count("only in filter:") == 2
+
+    def test_routes_are_not_held(self, capsys):
+        # the two routes are merged as they stream: a list of 4x5's
+        # 52,488 words each would take about 4 MiB
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "check", "4", "5")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, out
+        assert peak < 1 << 20
 
 
 class TestOeis:

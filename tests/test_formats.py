@@ -108,13 +108,16 @@ EDGE_SHAPES = [(1, 6), (1, 20), (9, 1), (20, 1), (2, 20), (3, 3), (4, 5)]
 def shaped_words(draw):
     m, n = draw(st.sampled_from(EDGE_SHAPES)
                 | st.tuples(st.integers(1, 4), st.integers(1, 5)))
-    top, prefix_top = (1 << n) - 1, (1 << n * (m - 1)) - 1
+    # the writer keeps the text above the last 8 // n rows of narrow
+    # rows, so words share prefixes above any number of tail rows
+    tail = n * draw(st.integers(1, m))
+    top, prefix_top = (1 << tail) - 1, (1 << n * m - tail) - 1
     # a few prefixes drawn from over and over, in any order: repeated
     # words, and prefixes that come back after another one
     prefixes = draw(st.lists(st.integers(0, prefix_top),
                              min_size=1, max_size=4))
     pairs = st.tuples(st.sampled_from(prefixes), st.integers(0, top))
-    words = draw(st.lists(pairs.map(lambda pr: pr[0] << n | pr[1]),
+    words = draw(st.lists(pairs.map(lambda pr: pr[0] << tail | pr[1]),
                           max_size=12)
                  | st.lists(st.integers(0, (1 << m * n) - 1), max_size=12))
     return MatrixShape(m, n), words
@@ -122,6 +125,11 @@ def shaped_words(draw):
 
 @settings(max_examples=400, deadline=None)
 @example((MatrixShape(3, 2), [0b000001, 0b010000, 0b000010]))  # A, B, A
+# A, B, A above the tail rows: the last 4 of 6x2 and the last 8 of 20x1
+@example((MatrixShape(6, 2), [0b0001 << 8 | 5, 0b0100 << 8 | 5,
+                              0b0001 << 8 | 7]))
+@example((MatrixShape(20, 1), [0b1 << 8 | 0x0F, 0b11 << 8 | 0x0F,
+                               0b1 << 8 | 0xF0]))
 @example((MatrixShape(2, 3), [0b111000, 0b000111, 0b000111, 0b111000]))
 @example((MatrixShape(2, 20), [3 << 20 | 1, 1 << 20 | 1, 3 << 20 | 2]))
 @given(shaped_words())
