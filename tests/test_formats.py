@@ -86,6 +86,23 @@ def test_wide_rows_match_the_oracle(fmt):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("shape,words", [
+    (MatrixShape(2, 16), range(10)),
+    (MatrixShape(1, 64), [0, 1 << 63 | 5, (1 << 64) - 1])])
+def test_wide_rows_build_no_table(fmt, shape, words):
+    # a few records of 16-bit or wider rows: no text is made for the tail
+    # values that no word has, so no 2^n table is built
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as out:
+            write_words(shape, words, fmt, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
 def test_distinct_wide_rows_are_not_kept(fmt):
     # a one-row shape's rows never recur, so a full run must not keep
     # the text of each one: memory would grow with the output
@@ -100,8 +117,11 @@ def test_distinct_wide_rows_are_not_kept(fmt):
 
 
 # one row (an empty prefix), one column (the prefix changes almost every
-# word), 2x20 (rows past the 16-bit memo) and a few ordinary shapes
-EDGE_SHAPES = [(1, 6), (1, 20), (9, 1), (20, 1), (2, 20), (3, 3), (4, 5)]
+# word), 2x20 (rows past the 16-bit memo) and a few ordinary shapes; and
+# tails of 8 bits (a table made up front), 9 and 16 bits (texts made when
+# first asked for and kept) and 17 bits (made afresh for every record)
+EDGE_SHAPES = [(1, 6), (1, 20), (9, 1), (20, 1), (2, 20), (3, 3), (4, 5),
+               (1, 8), (2, 8), (2, 9), (3, 9), (2, 16), (1, 17)]
 
 
 @st.composite
@@ -149,6 +169,18 @@ def assert_same_text(got, expected, label):
         first = next(((i, g, e) for i, (g, e) in enumerate(pairs) if g != e),
                      "none; the lengths differ")
         pytest.fail(f"{label}: first differing line: {first}")
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (1, 8), (2, 5)])
+def test_every_word_matches_the_oracle(m, n):
+    # every word of the shape, not only its representatives, so every
+    # entry of the tail tables is written at least once
+    shape = MatrixShape(m, n)
+    words = range(1 << m * n)
+    codes = [code_at_index(shape, w) for w in words]
+    for fmt in FORMATS:
+        assert_same_text(words_text(shape, words, fmt),
+                         oracles.stream(codes, fmt), f"write_words {fmt}")
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 21)
