@@ -1,13 +1,12 @@
 """Memory-free enumerator: keep a code iff it is its orbit's lex minimum.
 
-Needs no visited store, so disjoint index ranges can be processed
-independently (and concatenated in range order). Only some words are
-tested: a canonical word's top row r0 is a necklace (the least of its
-own rotations), and every row's necklace is at least r0, since a row
-rotation and a column rotation can bring any rotation of any row to
-the top. So the test runs on the words whose top row is a necklace,
-listed by an FKM walk, and whose other rows have necklaces no lower
-than it, in ascending order; each row's necklace is found once per call.
+Needs no visited store. Only some words are tested: a canonical word's
+top row r0 is a necklace (the least of its own rotations), and every
+row's necklace is at least r0, since a row rotation and a column
+rotation can bring any rotation of any row to the top. So the test
+runs on the words whose top row is a necklace, listed by an FKM walk,
+and whose other rows have necklaces no lower than it, in ascending
+order; each row's necklace is found once per call.
 
 Nor does the test try every rotation, or compare whole words. The move
 (i, j), row i to the top and its columns right-rotated by j, puts
@@ -32,8 +31,6 @@ answered apart: its canonical words are the necklaces, listed directly.
 
 import functools
 
-from .errors import RangeError
-
 
 def _least_rotation(p, n):
     """The n-bit row p's necklace (its least rotation) and the offsets j
@@ -48,8 +45,8 @@ def _least_rotation(p, n):
     return least, offsets
 
 
-def _necklaces(n, start, stop):
-    """The binary necklaces of length n within [start, stop), ascending.
+def _necklaces(n):
+    """The binary necklaces of length n, ascending.
 
     An FKM walk (Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms
     37, 2000) over the prenecklaces w, at constant amortized cost each;
@@ -65,19 +62,8 @@ def _necklaces(n, start, stop):
             x, length = (x << length) | x, 2 * length
         return x >> (length - n)
 
-    # seek: the least prenecklace at or above start is start itself, or
-    # else its longest prenecklace prefix extended with that prefix's p
-    w, p = start, 1
-    for i in range(1, n):
-        bit = (w >> (n - 1 - i)) & 1
-        back = (w >> (n - 1 - i + p)) & 1
-        if bit > back:
-            p = i + 1
-        elif bit < back:
-            w = extend(w, p)
-            break
-    top = (1 << n) - 1
-    while w < stop:
+    w, p, top = 0, 1, (1 << n) - 1
+    while True:
         if n % p == 0:
             yield w
         if w == top:
@@ -98,62 +84,44 @@ class _RowsUnder:
     beyond the furthest walk is held.
     """
 
-    def __init__(self, r0, row):
+    def __init__(self, r0, row, top):
         self.r0 = r0
         self.row = row
+        self.top = top  # the greatest row
         self.found = []  # every such row in [r0, self.untested), with offsets
         self.untested = r0
 
-    def walk(self, lo, hi):
-        """The rows in [max(lo, r0), hi], ascending."""
-        if lo > self.r0:  # a seek to a range's start: walked once, not kept
-            return filter(None, map(self._kept, range(lo, hi + 1)))
-        if hi + 1 == self.untested:
+    def walk(self):
+        """The rows, ascending."""
+        if self.untested > self.top:
             return iter(self.found)  # all found: most walks of a full run
-        return self._walk(hi)
+        return self._walk()
 
-    def _kept(self, p):
-        # p as yielded, or None if its necklace is below r0; found past
-        # the memo, as a seek's rows are walked once
-        least, offsets = self.row.__wrapped__(p)
-        if least >= self.r0:
-            return p, offsets if least == self.r0 else ()
-
-    def _walk(self, hi):
-        r0, row, found = self.r0, self.row, self.found
+    def _walk(self):
+        r0, row, top, found = self.r0, self.row, self.top, self.found
         i = 0
         while True:
             if i == len(found):  # past the rows found so far: find one more
                 p = self.untested
-                while p <= hi and (entry := row(p))[0] < r0:
+                while p <= top and (entry := row(p))[0] < r0:
                     p += 1
-                if p > hi:
+                if p > top:
                     self.untested = p
                     return
                 found.append((p, entry[1] if entry[0] == r0 else ()))
                 self.untested = p + 1
-            kept = found[i]
-            if kept[0] > hi:
-                return
-            yield kept
+            yield found[i]
             i += 1
 
 
-def iter_canonical_indices(shape, start=0, stop=None):
-    """Linearized indices of canonical codes within [start, stop), ascending.
-
-    The full range yields exactly the sieve's representative sequence.
-    """
-    total = 1 << shape.cells
-    if stop is None:
-        stop = total
-    if not (0 <= start <= stop <= total):
-        raise RangeError(f"interval [{start}, {stop}) outside [0, {total})")
+def iter_canonical_indices(shape):
+    """Linearized indices of canonical codes, ascending: exactly the
+    sieve's representative sequence."""
     m, n = shape.m, shape.n
     if m == 1 or n == 1:  # one column: the same words and rotation as a row
-        yield from _necklaces(m * n, start, stop)
+        yield from _necklaces(m * n)
         return
-    full = total - 1
+    full = (1 << shape.cells) - 1
     top = (1 << n) - 1
     row_low = full // top  # the lowest bit of each row: a geometric sum
     last = m - 1
@@ -168,13 +136,6 @@ def iter_canonical_indices(shape, start=0, stop=None):
             (j, row_low * ((1 << (n - j)) - 1), row_low * ((1 << j) - 1),
              n - j) for j in offsets)
 
-    def walk(rows, prefix, depth):
-        # the rows at depth that keep a word under prefix in [start, stop)
-        shift = n * (last - depth)
-        base = prefix << n
-        return rows.walk((start >> shift) - base,
-                         min(top, ((stop - 1) >> shift) - base))
-
     def beaten(w, i, offsets):
         # whether putting row i on top, turned by one of offsets, gives a
         # word below w: the whole word, moved and compared
@@ -185,17 +146,16 @@ def iter_canonical_indices(shape, start=0, stop=None):
                 return True
         return False
 
-    shift = n * last
-    for r0 in _necklaces(n, start >> shift, ((stop - 1) >> shift) + 1):
+    for r0 in _necklaces(n):
         # an odometer, not recursion, so tall shapes keep a flat stack:
         # walks[d] yields row d + 1 under stack[d], the word of rows 0..d
         # and its open moves (j, n*i), each of which, row i on top and
         # right-rotated by j, ties the word on every row so far. Row 0's
         # offsets, less the identity, open the first; each row pushed
         # opens its own, which put r0 on top.
-        rows = _RowsUnder(r0, row)
+        rows = _RowsUnder(r0, row, top)
         stack = [(r0, [(j, 0) for j in row(r0)[1][1:]])]
-        walks = [walk(rows, r0, 1)]
+        walks = [rows.walk()]
         while walks:
             depth = len(walks)
             prefix, moves = stack[-1]
@@ -217,7 +177,7 @@ def iter_canonical_indices(shape, start=0, stop=None):
                     else:
                         kept.extend((j, n * depth) for j in offsets)
                         stack.append((w, kept))
-                        walks.append(walk(rows, w, depth + 1))
+                        walks.append(rows.walk())
                         break
                 else:
                     walks.pop()

@@ -80,8 +80,12 @@ def write_words(shape, words, fmt, out):
             t = w & low
             out.write(f"{tup}{mid[t]}{txt}{last[t]}")
         return count
-    gap, head = (" ", f"P1\n{n} {m}\n") if fmt == "pbm" else ("", "")
-    line = memo(lambda p, end="": f"{gap.join(bin(p | pad)[3:])}\n{end}")
+    if fmt == "pbm":
+        head = f"P1\n{n} {m}\n"
+        line = memo(lambda p, end="": f"{' '.join(bin(p | pad)[3:])}\n{end}")
+    else:  # lines: the digits as bin() gives them
+        head = ""
+        line = memo(lambda p, end="": f"{bin(p | pad)[3:]}\n{end}")
     last = tails(line, "", "")
     for count, w in enumerate(words, 1):
         if (p := w >> cut) != key:

@@ -122,11 +122,11 @@ def pruned_candidate_count(m, n):
                for r0 in set(necklaces))
 
 
-def pruned_candidates(m, n, start, stop):
-    """The words of [start, stop) that the filter tests, row by row."""
+def pruned_candidates(m, n):
+    """The words that the filter tests, row by row."""
     necklaces = [necklace(p, n) for p in range(1 << n)]
     words = []
-    for w in range(start, stop):
+    for w in range(1 << (m * n)):
         rows = [(w >> (n * (m - 1 - i))) & ((1 << n) - 1) for i in range(m)]
         if necklaces[rows[0]] == rows[0] and \
                 all(necklaces[p] >= rows[0] for p in rows):
@@ -134,24 +134,22 @@ def pruned_candidates(m, n, start, stop):
     return words
 
 
-def filter_walks(m, n, start, stop):
+def filter_walks(m, n):
     """The prefixes the filter walks the rows under, in the order it walks
     them, each as (depth, prefix, rows).
 
-    prefix holds rows 0..depth, depth < m - 1, and some word of [start,
-    stop) starts with it. Its top row r0 is a necklace, its rows'
-    necklaces are at least r0, and no move beats it on its complete rows:
-    for no i <= depth and no turn j are rows i..depth, each turned by j
-    string rotations, below rows 0..depth - i. rows lists the rows p whose
-    necklaces are at least r0 and under which some word of the range
-    starts with prefix and p, ascending.
+    prefix holds rows 0..depth, depth < m - 1. Its top row r0 is a
+    necklace, its rows' necklaces are at least r0, and no move beats it
+    on its complete rows: for no i <= depth and no turn j are rows
+    i..depth, each turned by j string rotations, below rows 0..depth - i.
+    rows lists the rows p whose necklaces are at least r0, ascending.
     """
     top = (1 << n) - 1
     necklaces = [necklace(p, n) for p in range(1 << n)]
     walks = []
     for depth in range(m - 1):
         shift = n * (m - 1 - depth)
-        for prefix in range(start >> shift, ((stop - 1) >> shift) + 1):
+        for prefix in range(1 << (n * (depth + 1))):
             rows = [(prefix >> (n * (depth - i))) & top
                     for i in range(depth + 1)]
             r0 = rows[0]
@@ -162,10 +160,7 @@ def filter_walks(m, n, start, stop):
                    < rows[:depth + 1 - i]
                    for i in range(depth + 1) for j in range(n)):
                 continue
-            below = shift - n
-            under = tuple(p for p in range(1 << n) if necklaces[p] >= r0
-                          and start >> below <= (prefix << n) | p
-                          <= (stop - 1) >> below)
+            under = tuple(p for p in range(1 << n) if necklaces[p] >= r0)
             walks.append((prefix << shift, depth, prefix, under))
     # a prefix is walked before the longer prefixes that start with it
     return [walk[1:] for walk in sorted(walks)]
