@@ -30,6 +30,7 @@ answered apart: its canonical words are the necklaces, listed directly.
 """
 
 import functools
+import itertools
 
 
 def _least_rotation(p, n):
@@ -74,44 +75,19 @@ def _necklaces(n):
             w = extend(w, p)
 
 
-class _RowsUnder:
+def _rows_under(r0, row, top):
     """The rows that may lie under top row r0: those whose necklace is >= r0.
 
     Every such row is at least r0. Each is yielded as (p, offsets): the
     offsets of row(p) where p's necklace is r0, and () where it is above.
-    The rows are found as walks from r0 first reach them and kept, since
-    the rows under the second are walked again for every prefix; nothing
-    beyond the furthest walk is held.
+    The rows under the second are walked again for every prefix, so they
+    form one lazy stream, a tee that is never advanced itself: every walk
+    is a copy of it, and each row is found once, as the furthest walk
+    reaches it. Nothing beyond the furthest walk is held.
     """
-
-    def __init__(self, r0, row, top):
-        self.r0 = r0
-        self.row = row
-        self.top = top  # the greatest row
-        self.found = []  # every such row in [r0, self.untested), with offsets
-        self.untested = r0
-
-    def walk(self):
-        """The rows, ascending."""
-        if self.untested > self.top:
-            return iter(self.found)  # all found: most walks of a full run
-        return self._walk()
-
-    def _walk(self):
-        r0, row, top, found = self.r0, self.row, self.top, self.found
-        i = 0
-        while True:
-            if i == len(found):  # past the rows found so far: find one more
-                p = self.untested
-                while p <= top and (entry := row(p))[0] < r0:
-                    p += 1
-                if p > top:
-                    self.untested = p
-                    return
-                found.append((p, entry[1] if entry[0] == r0 else ()))
-                self.untested = p + 1
-            yield found[i]
-            i += 1
+    return itertools.tee(
+        ((p, entry[1] if entry[0] == r0 else ())
+         for p in range(r0, top + 1) if (entry := row(p))[0] >= r0), 1)[0]
 
 
 def iter_canonical_indices(shape):
@@ -148,23 +124,22 @@ def iter_canonical_indices(shape):
 
     for r0 in _necklaces(n):
         # an odometer, not recursion, so tall shapes keep a flat stack:
-        # walks[d] yields row d + 1 under stack[d], the word of rows 0..d
-        # and its open moves (j, n*i), each of which, row i on top and
-        # right-rotated by j, ties the word on every row so far. Row 0's
-        # offsets, less the identity, open the first; each row pushed
-        # opens its own, which put r0 on top.
-        rows = _RowsUnder(r0, row, top)
-        stack = [(r0, [(j, 0) for j in row(r0)[1][1:]])]
-        walks = [rows.walk()]
-        while walks:
-            depth = len(walks)
-            prefix, moves = stack[-1]
-            prefix <<= n
-            if depth < last:
+        # each entry holds a word of rows 0..d, shifted for row d + 1,
+        # its open moves (j, n*i), each of which, row i on top and
+        # right-rotated by j, ties the word on every row so far, and the
+        # walk that yields row d + 1 under it. Row 0's offsets, less the
+        # identity, open the first; each row pushed opens its own, which
+        # put r0 on top.
+        rows = _rows_under(r0, row, top)
+        # __copy__(): copy.copy(rows) costs a dispatch, tee(rows) advances it
+        stack = [(r0 << n, [(j, 0) for j in row(r0)[1][1:]], rows.__copy__())]
+        while stack:
+            prefix, moves, walk = stack[-1]
+            if len(stack) < last:
                 # the new row is each open move's next moved row: below
                 # the word's, it beats every word under the new prefix,
                 # whose subtree is skipped; above it, the move is dropped
-                for p, offsets in walks[-1]:
+                for p, offsets in walk:
                     w = prefix | p
                     kept = []
                     for j, s in moves:
@@ -175,19 +150,17 @@ def iter_canonical_indices(shape):
                         if x == y:
                             kept.append((j, s))
                     else:
-                        kept.extend((j, n * depth) for j in offsets)
-                        stack.append((w, kept))
-                        walks.append(rows.walk())
+                        kept.extend((j, n * len(stack)) for j in offsets)
+                        stack.append((w << n, kept, rows.__copy__()))
                         break
                 else:
-                    walks.pop()
                     stack.pop()
                 continue
             # the last row settles each open move by one row compare,
             # with row m - 1 - i (the candidate row itself when i = 0),
             # unless it ties: then the wrapped rows decide, and the whole
             # moved word is compared, as for the last row's own moves
-            for p, offsets in walks.pop():
+            for p, offsets in walk:
                 w = prefix | p
                 for j, s in moves:
                     x = ((p >> j) | (p << (n - j))) & top

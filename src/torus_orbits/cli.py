@@ -36,10 +36,12 @@ _BASE_BITS = 128
 
 
 def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return value
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
 
 
 def _build_parser():

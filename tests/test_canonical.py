@@ -96,7 +96,7 @@ class TestStream:
         assert len(list(iter_canonical_indices(MatrixShape(2, 2)))) == 7
 
     @pytest.mark.parametrize("m,n", [(2000, 1), (1000, 2), (8, 8), (7, 9),
-                                     (5, 6), (3, 10), (2, 40)])
+                                     (5, 6), (3, 10), (2, 40), (3, 40)])
     def test_tall_shape(self, m, n):
         # more rows than the interpreter's default recursion limit: one
         # column is walked as one row, and two columns by the odometer,
@@ -175,14 +175,18 @@ class TestPruning:
                                      (4, 5), (5, 3)])
     def test_tests_only_the_lemma_candidates(self, monkeypatch, m, n):
         walked = []
-        real = canonical._RowsUnder.walk
+        real = canonical._rows_under
 
-        def recording(rows):
-            kept = list(real(rows))
-            walked.append(tuple(p for p, _ in kept))
-            return iter(kept)
+        class Recording:
+            def __init__(self, *args):
+                self.rows = real(*args)
 
-        monkeypatch.setattr(canonical._RowsUnder, "walk", recording)
+            def __copy__(self):
+                kept = list(self.rows.__copy__())
+                walked.append(tuple(p for p, _ in kept))
+                return iter(kept)
+
+        monkeypatch.setattr(canonical, "_rows_under", Recording)
         # the odometer walks the rows under each prefix it pushes, and
         # pushes exactly the oracle's prefixes, in its order
         kept = list(iter_canonical_indices(MatrixShape(m, n)))

@@ -617,3 +617,14 @@ class TestUsageErrors:
     def test_exit_2(self, capsys, argv):
         assert cli.main(list(argv)) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "2", "x"),
+        ("enumerate", "2", "2", "--limit", "1.5"),
+        ("count", "2", "-3"),
+    ])
+    def test_not_a_positive_integer(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "is not a positive integer" in err
+        assert "_positive_int" not in err
