@@ -6,6 +6,7 @@ interrupted (SIGINT, as from Ctrl-C).
 """
 
 import argparse
+import functools
 import itertools
 import os
 import stat
@@ -36,12 +37,16 @@ _BASE_BITS = 128
 
 
 def _positive_int(text):
+    shown = text if len(text) <= 16 else text[:12] + "..."
     try:
         if (value := int(text)) >= 1:
             return value
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+        digits = text.strip().lstrip("+").lstrip("0")
+        if digits.isdecimal():  # more digits than int() converts
+            raise argparse.ArgumentTypeError(
+                f"{shown} ({len(digits)} digits) is too large") from None
+    raise argparse.ArgumentTypeError(f"{shown} is not a positive integer")
 
 
 def _build_parser():
@@ -109,14 +114,7 @@ def _decimal(value):
     import decimal  # here, so small counts never load it
 
     D = decimal.Decimal
-    powers = {}  # w -> D(2)**w, for this call only
-
-    def power(w):
-        if w not in powers:
-            half = w >> 1
-            powers[w] = (D(2) ** w if w <= _BASE_BITS
-                         else power(half) * power(w - half))
-        return powers[w]
+    power = functools.cache(lambda w: D(2) ** w)  # for this call only
 
     def convert(n, w):  # n < 2**w
         if w <= _BASE_BITS:

@@ -11,16 +11,15 @@ right-rotates each n-bit field independently.
 A class minimum's top row is a necklace, the least of its own
 rotations, or a column rotation would give a smaller word; and every
 other row's necklace is at least that top row. So the sieve's pass
-reads only the blocks of codes under a necklace top row q. Before
-reading one, it fills in the codes with a row whose necklace is below
-q, whose class minima lie in earlier blocks; of each class minimum it
-then marks only the other orbit members with the same top row q, the
-rest of the class being filled and the minimum's own bit set as the
-pass reads on. That is about 1 mark per class on 5x5, not m*n. No
-other block is ever touched, so only about 1/n of the store
-becomes resident. The filter (canonical.py) rests on the same facts
-but shares no code with the sieve, so `check` still compares two
-independent routes.
+reads only the candidates: under each necklace top row q, the words
+whose rows all have a necklace at least q, each bit once. Of each
+class minimum it marks only the other orbit members with the same top
+row q, which are candidates; the rest of the class holds a row whose
+necklace is below q and is never read. That is about 1 mark per class
+on 5x5, not m*n, and only the pages that hold a candidate become
+resident. The filter (canonical.py) rests on the same facts but shares
+no code with the sieve, so `check` still compares two independent
+routes.
 """
 
 import itertools
@@ -66,22 +65,17 @@ def row_low_mask(m, n):
 def necklace_moves(m, n):
     """The constants of the sieve's kernel for shape (m, n).
 
-    Returns (rows, moves, shift). rows holds, for each i in [0, m), the
-    mask and shifts of the row rotation that puts row i on top. moves
-    holds the n column moves (j, keep, low, n - j), by j = 0 .. n - 1,
-    each of which right-rotates every row by j. A block of the pass is
-    the 2^shift codes under one top row, x >> shift: shift = n*(m - 1).
-    When those blocks fill less than a byte (in the pass, one row and
-    2x2), shift = m*n makes the whole store one block, under q = 0,
-    whose kernel marks whole orbits.
+    Returns (rows, moves). rows holds, for each i in [0, m), the mask
+    and shifts of the row rotation that puts row i on top. moves holds
+    the n column moves (j, keep, low, n - j), by j = 0 .. n - 1, each of
+    which right-rotates every row by j.
     """
     row_low = row_low_mask(m, n)
     full = (1 << (m * n)) - 1
     rows = tuple((full >> (n * i), n * i, n * (m - i)) for i in range(m))
     moves = tuple((j, row_low * ((1 << (n - j)) - 1),
                    row_low * ((1 << j) - 1), n - j) for j in range(n))
-    # one row, or blocks under a byte (2x2 in the pass)
-    return rows, moves, m * n if n * (m - 1) < 3 else n * (m - 1)
+    return rows, moves
 
 
 def row_rotations(p, n):
@@ -95,17 +89,16 @@ def row_rotations(p, n):
     return rots
 
 
-def block_moves(moves, q, n, size):
-    """The column moves of each of size rows that turn it into q.
+def block_moves(moves, q, n):
+    """The column moves of each n-bit row that turn it into q.
 
     moves is necklace_moves(m, n)'s and q a necklace. Entry x of the
     list, for x = rot_j(q) with q of period d, holds the moves by the
     offsets -j mod d, -j mod d + d, ..., those that turn x back into q,
     ascending; every other row has none. So the kernel with it marks
-    only the words under top row q. For the one block (size 1, q = 0),
-    entry 0 holds all n moves: the kernel marks whole orbits.
+    only the words under top row q.
     """
-    block = [()] * size
+    block = [()] * (1 << n)
     rots = row_rotations(q, n)
     for j, x in enumerate(rots):
         block[x] = moves[-j % len(rots)::len(rots)]
@@ -116,61 +109,25 @@ def row_moves(x, rows, block, shift):
     """The moves that put a rotation of q on top of the word x.
 
     rows holds row moves (mask, a, b) of necklace_moves(m, n), shift is
-    the one it returns, and block is block_moves(moves, q, n, size). For
+    n*(m - 1), the top row's, and block is block_moves(moves, q, n). For
     each row move, in order, each column move (j, keep, low, k) of block
     that turns the row it puts on top into q, joined into one flat move
-    (mask, a, b, j, keep, low, k); for the one block, every column
-    move. A row move puts one row of x on top, so only that row
-    decides its column moves: the sieve finds those of a word's first
-    m - 1 rows from its prefix alone, with the last row zero.
+    (mask, a, b, j, keep, low, k). A row move puts one row of x on top,
+    so only that row decides its column moves: the sieve finds those of
+    a word's first m - 1 rows from its prefix alone, with the last row
+    zero.
     """
     return [(mask, a, b) + move for mask, a, b in rows
             for move in block[(((x & mask) << a) | (x >> b)) >> shift]]
-
-
-FILL_CHUNK = 1 << 16  # bytes: the largest pattern a fill builds and writes
-
-
-def fill_block(visited, start, depth, n, low):
-    """Set the bit of every code of a block that has a row in low.
-
-    The block starts at byte start of visited and holds the 2^(n*depth)
-    codes of depth n-bit rows below its top row, the last row least
-    significant, at least 8 of them; bit r of low marks row r. The level
-    of k rows is 2^n sub-blocks of k - 1 rows, all ones under a marked
-    row and the level below otherwise. The levels are built from the
-    last row up: from low, the level of one row, as an int until the
-    pattern spans at least a byte, then as bytes, each level one join of
-    its sub-blocks, while the next level stays within FILL_CHUNK bytes
-    and the block. A last loop walks the sub-blocks of that size above
-    it in block order and writes each one: all ones if any row above it
-    is marked, else the pattern. So no temporary exceeds FILL_CHUNK
-    bytes whatever the block's size.
-    """
-    marked = format(low, f"0{1 << n}b")[::-1]  # "1" at each row in low
-    level, width, pattern = 1, 1 << n, low
-    while width < 8:
-        ones = (1 << width) - 1
-        pattern = sum((ones if out == "1" else pattern) << (r * width)
-                      for r, out in enumerate(marked))
-        level, width = level + 1, width << n
-    pattern = pattern.to_bytes(width >> 3, "little")
-    ones = b"\xff" * len(pattern)
-    while level < depth and len(pattern) << n <= FILL_CHUNK:
-        pattern = b"".join(ones if out == "1" else pattern for out in marked)
-        ones = b"\xff" * len(pattern)
-        level += 1
-    for outs in itertools.product(marked, repeat=depth - level):
-        visited[start:start + len(pattern)] = ones if "1" in outs else pattern
-        start += len(pattern)
 
 
 def check_exhaustive(shape):
     """Refuse a scan of the whole ground set beyond SCAN_BUDGET codes.
 
     The sieve keeps one visited bit per code of all 2^(m*n), though it
-    reads only the blocks under a necklace top row; the filter tests at
-    most that many codes. So either route takes at most 33 cells.
+    reads only the candidates, the words whose rows' necklaces are all
+    at least the top row; the filter tests at most those. So either
+    route takes at most 33 cells.
     """
     # 2^cells > SCAN_BUDGET, without building 2^cells for a huge shape
     if shape.cells >= SCAN_BUDGET.bit_length():
@@ -182,23 +139,19 @@ class VisitedStore:
     """One bit per code of the ground set, in one anonymous mapping.
 
     The operating system hands out zero pages on first touch, so only
-    the pages that are read, filled or marked become resident: on a
-    sieve pass, those under a necklace top row.
+    the pages that are read or marked become resident: on a sieve pass,
+    those that hold a candidate.
     """
 
     def __init__(self, shape):
         check_exhaustive(shape)
         import mmap  # here, so count and burnside never load it
 
-        total = 1 << shape.cells
         try:
-            self.bits = mmap.mmap(-1, (total + 7) >> 3)
+            self.bits = mmap.mmap(-1, ((1 << shape.cells) + 7) >> 3)
         except (OSError, MemoryError):
             raise CapacityError(f"cannot allocate the 2^{shape.cells}-bit "
                                 "visited store") from None
-        if total & 7:
-            # spare bits of the last byte must never read as unvisited
-            self.bits[-1] |= 0xFF & ~((1 << (total & 7)) - 1)
 
     @property
     def nbytes(self):
@@ -208,71 +161,70 @@ class VisitedStore:
 def iter_representative_indices(shape):
     """Yield the linearized index of each class minimum, ascending.
 
-    One lexicographic pass over the visited store's blocks under a
-    necklace top row q, the only ones that hold a class minimum, in
-    ascending q. Before the pass reads a block, fill_block sets the bits
-    of its codes with a row whose necklace is below q: each such class's
-    minimum lies in an earlier block. Each zero bit left is a class
-    minimum w, which is yielded; then each move that puts a row of w on
-    top and turns it into q is applied to w and the word it gives is
-    marked: the members of w's rotation orbit under the same top row q.
-    Every other code of the block is in the class of such a minimum,
-    since all its rows' necklaces are at least q. The pass reads the
-    live store, and no orbit member lies below its minimum, so every
-    mark lands at or ahead of the pass and inside the block. A block is
-    2^shift codes, a whole number of bytes or the whole store, so no
-    byte is shared with a skipped block, where nothing is ever written.
-    Only the pages of those blocks become resident; the block under
-    q = 0 needs no fill.
+    For m, n >= 2, one lexicographic pass over the candidates: the
+    words under a necklace top row q whose rows all have a necklace at
+    least q, in ascending q, where every class minimum lies. below holds
+    the rows whose necklace is below q, so allowed lists the rows a
+    candidate may hold under q. The pass forms each prefix from the
+    middle rows, then reads each last row of allowed: it tests the
+    word's visited bit once, and a clear bit is a class minimum w,
+    which is yielded. Each move that puts a row of w on top and turns
+    it into q is then applied to w, and the word it gives is marked:
+    the members of w's rotation orbit under the same top row q, which
+    are candidates ahead of the pass, as no orbit member lies below its
+    minimum. Every other candidate of q is in the class of such a
+    minimum. So the pass reads exactly the C = sum over necklaces q of
+    A(q)^(m - 1) candidates, A(q) the rows whose necklace is at least
+    q, and only their pages become resident.
 
     The moves of w's first m - 1 rows depend on those rows alone, so
-    row_moves finds them once per prefix w >> n, which consecutive words
-    share, and the pass applies them inline, with the last row's column
-    moves from block. The identity, row 0 at offset 0, is left out: the
-    reread keeps the bits already passed and adds w's own, so it alone
-    passes w, and the pass moves on whatever the kernel marks.
+    row_moves finds them once per prefix, on its first minimum, and the
+    pass applies them inline, with the last row's column moves from
+    block. The identity, row 0 at offset 0, is left out: w was read.
+
+    One row or one column has one rotation, of the m*n-bit word, so
+    that pass reads every word and marks the other rotations of each
+    minimum.
     """
     m, n = shape.m, shape.n
-    if n == 1:  # one column: the same words and rotation as one row
-        m, n = 1, m
     visited = VisitedStore(shape).bits
-    rows, moves, shift = necklace_moves(m, n)
-    upper_rows = rows[:-1]
-    top, up = (1 << n) - 1, n * (m - 1)  # the last row, and its move
-    size = 1 << (m * n - shift)  # top rows: 2^n, or 1 for the one block
-    sel = size - 1
     bit = (1, 2, 4, 8, 16, 32, 64, 128)
-    low = 0  # bit p set for each row p whose necklace is below q
-    for q in range(size):
-        if low >> q & 1:  # a rotation of an earlier necklace
-            continue
-        start = (q << shift) >> 3
-        if low:
-            fill_block(visited, start, m - 1, n, low)
-        block = last = block_moves(moves, q, n, size)
-        if m == 1:  # the last row is the top row: no identity move
-            last = [block[0][1:]]
-        key = None  # the prefix w >> n whose moves are kept
-        for cursor in range(start, (((q + 1) << shift) + 7) >> 3):
-            b = visited[cursor]
-            while b != 0xFF:
-                w = (cursor << 3) | ((~b & (b + 1)).bit_length() - 1)
+    if m == 1 or n == 1:
+        for w in range(1 << shape.cells):
+            if not visited[w >> 3] & bit[w & 7]:
                 yield w
-                if (p := w >> n) != key:
-                    key = p
-                    # the first m - 1 rows' moves, bar the identity
-                    upper = row_moves(p << n, upper_rows, block, shift)[1:]
+                for x in row_rotations(w, shape.cells)[1:]:
+                    visited[x >> 3] |= bit[x & 7]
+        return
+    rows, moves = necklace_moves(m, n)
+    upper_rows = rows[:-1]
+    up = n * (m - 1)  # the top row's shift, and the last row's move
+    below = set()
+    for q in range(1 << n):
+        if q in below:  # a rotation of an earlier necklace
+            continue
+        allowed = [r for r in range(q, 1 << n) if r not in below]
+        block = block_moves(moves, q, n)
+        middle = [[r << (n * i) for r in allowed] for i in range(m - 2, 0, -1)]
+        for rest in itertools.product(*middle):
+            prefix = (q << up) | sum(rest)
+            upper = None  # the first m - 1 rows' moves, bar the identity
+            for r in allowed:
+                w = prefix | r
+                if visited[w >> 3] & bit[w & 7]:
+                    continue
+                yield w
+                if upper is None:
+                    upper = row_moves(prefix, upper_rows, block, up)[1:]
                 for mask, a, c, j, keep, lo, k in upper:
                     x = ((w & mask) << a) | (w >> c)
                     x = ((x >> j) & keep) | ((x & lo) << k)
                     visited[x >> 3] |= bit[x & 7]
-                for j, keep, lo, k in last[w & sel]:
-                    x = ((w & top) << up) | (w >> n)
+                for j, keep, lo, k in block[r]:
+                    x = (r << up) | (w >> n)
                     x = ((x >> j) & keep) | ((x & lo) << k)
                     visited[x >> 3] |= bit[x & 7]
-                b |= visited[cursor] | (b + 1)
-        for p in row_rotations(q, n):
-            low |= 1 << p
+        below.update(row_rotations(q, n))
 
 
 def enumerate_torus(shape):

@@ -27,6 +27,7 @@ from torus_orbits.torus import (
     necklace_moves,
     row_low_mask,
     row_moves,
+    row_rotations,
 )
 
 import oracles
@@ -125,16 +126,17 @@ def test_criterion_4_orbit_partition_soundness():
 def test_criterion_5_operator_laws():
     with criterion(5, "operator laws, randomized"):
         # the sieve's word kernel, its moves applied as the pass applies
-        # them, against the oracles' grid moves
+        # them, against the oracles' grid moves; one row and one column
+        # through the rotations of their one m*n-bit row
         shapes = [(1, 1), (1, 30), (30, 1), (2, 15), (3, 10),
                   (4, 4), (5, 6), (6, 5)]
         rng = random.Random(20240824)
         for m, n in shapes:
             shape = MatrixShape(m, n)
             top = (1 << n) - 1
-            rows_moves, moves, shift = necklace_moves(m, n)
-            size = 1 << (m * n - shift)
-            whole = n * (m - 1) < 3  # the kernel lists whole orbits
+            rows_moves, moves = necklace_moves(m, n)
+            shift = n * (m - 1)
+            whole = m == 1 or n == 1  # the pass rotates the whole word
             # grids as tuples of '0'/'1' row strings, which the oracle
             # moves shift as they shift tuples of bits
             row_format = f"0{n}b"
@@ -151,29 +153,39 @@ def test_criterion_5_operator_laws():
             for _ in range(10_000):
                 rows = tuple(rng.randint(0, top) for _ in range(m))
                 w = tuple_index(TupleCode(rows, shape))
+                g = tuple(format(p, row_format) for p in rows)
+                if whole:
+                    # rotation j is j last-to-first moves of the one
+                    # row, or of the one column, up to the word's period
+                    move = (oracles.move_last_col_first if m == 1
+                            else oracles.move_last_row_first)
+                    expected = [g]
+                    while (g := move(g)) != expected[0]:
+                        expected.append(g)
+                    words = row_rotations(w, m * n)
+                    assert [grid(x) for x in words] == expected
+                    assert set(words) == set(
+                        oracles.orbit_words(w, m, n, row_low))
+                    assert tuple_index(code_at_index(shape, w)) == w
+                    continue
                 # the top row of w's class minimum: the least necklace
-                q = 0 if whole else min(map(least_rotation, rows))
+                q = min(map(least_rotation, rows))
                 words = []
                 for mask, a, b, j, keep, low, k in row_moves(
-                        w, rows_moves, block_moves(moves, q, n, size),
-                        shift):
+                        w, rows_moves, block_moves(moves, q, n), shift):
                     x = ((w & mask) << a) | (w >> b)
                     words.append(((x >> j) & keep) | ((x & low) << k))
                 # k last-to-first row moves put row (m - k) % m on top
-                g = tuple(format(p, row_format) for p in rows)
                 row_moved = [g]
                 for _ in range(m - 1):
                     g = oracles.move_last_row_first(g)
                     row_moved.append(g)
                 # word by word: row i on top, then j last-to-first column
-                # moves for each j that turns that row into q (every j
-                # for whole orbits), ascending
+                # moves for each j that turns that row into q, ascending
                 expected = []
                 for i in range(m):
                     g = row_moved[-i]
-                    if whole:
-                        offsets = range(n)
-                    elif least_rotation(rows[i]) == q:
+                    if least_rotation(rows[i]) == q:
                         offsets = oracles.least_rotation_offsets(rows[i], n)
                     else:
                         offsets = []
@@ -188,7 +200,7 @@ def test_criterion_5_operator_laws():
                 # whole orbit as the reference sieve's kernel lists it
                 assert set(words) == {
                     x for x in oracles.orbit_words(w, m, n, row_low)
-                    if whole or x >> shift == q}
+                    if x >> shift == q}
                 assert tuple_index(code_at_index(shape, w)) == w
 
 

@@ -628,3 +628,12 @@ class TestUsageErrors:
         assert code == 2
         assert "is not a positive integer" in err
         assert "_positive_int" not in err
+
+    def test_too_many_digits(self, capsys):
+        # past int()'s 4300-digit conversion limit: too large, not
+        # malformed, and only a short prefix of the digits is echoed
+        code, _, err = run(capsys, "count", "2", "1" + "0" * 4300)
+        assert code == 2
+        assert "(4301 digits) is too large" in err
+        assert "is not a positive integer" not in err
+        assert len(err) < 400

@@ -1,8 +1,6 @@
 import functools
 import itertools
 import os
-import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,9 +21,9 @@ from torus_orbits import torus
 from torus_orbits.torus import (
     VisitedStore,
     block_moves,
-    fill_block,
     necklace_moves,
     row_moves,
+    row_rotations,
 )
 
 import oracles
@@ -80,16 +78,21 @@ def moved_word(w, move):
 def visited_rows(rows, m, n, q):
     """The row tuples the sieve's kernel reaches from a code of any
     shape, with the block of the necklace q: all m rows' moves, the
-    identity included."""
+    identity included; for one row or one column, which the pass walks
+    as one m*n-bit row, all its distinct rotations."""
     w = 0
     for p in rows:
         w = (w << n) | p
     top = (1 << n) - 1
-    rows_moves, moves, shift = necklace_moves(m, n)
-    block = block_moves(moves, q, n, 1 << (m * n - shift))
+    if m == 1 or n == 1:
+        words = row_rotations(w, m * n)
+    else:
+        rows_moves, moves = necklace_moves(m, n)
+        block = block_moves(moves, q, n)
+        words = [moved_word(w, move) for move in
+                 row_moves(w, rows_moves, block, n * (m - 1))]
     return [tuple((x >> (n * (m - 1 - i))) & top for i in range(m))
-            for x in (moved_word(w, move)
-                      for move in row_moves(w, rows_moves, block, shift))]
+            for x in words]
 
 
 @st.composite
@@ -106,14 +109,14 @@ class TestOrbitVisits:
         assert visited_rows((0, 0, 0), 3, 2, 0) == [(0, 0, 0)] * 6
 
     def test_2x2_four_element_orbit(self):
-        # 2x2's 4-bit blocks lie under a byte, so the kernel lists the
-        # whole orbit, also (2, 0), whose top row 10 is not a necklace
-        assert set(visited_rows((1, 0), 2, 2, 0)) == \
-            {(1, 0), (0, 1), (0, 2), (2, 0)}
+        # only the orbit members under the top row 00, not (1, 0) or
+        # (2, 0), whose top rows 01 and 10 are not the minimum's
+        assert set(visited_rows((1, 0), 2, 2, 0)) == {(0, 1), (0, 2)}
 
     def test_2x2_singleton_orbit(self):
-        # equal rows, and 3 = 11b is fixed by the bit rotation at n = 2
-        assert set(visited_rows((3, 3), 2, 2, 0)) == {(3, 3)}
+        # equal rows, and 3 = 11b is fixed by the bit rotation at n = 2:
+        # all four moves reach the code itself
+        assert visited_rows((3, 3), 2, 2, 3) == [(3, 3)] * 4
 
     @settings(max_examples=200, deadline=None)
     @example((7, 9, (1, 0, 0, 0, 0, 0, 0)))  # 63 cells
@@ -123,16 +126,16 @@ class TestOrbitVisits:
     @given(shaped_rows())
     def test_matches_grid_closure(self, case):
         m, n, rows = case
-        whole = n * (m - 1) < 3  # one row, or blocks under a byte
+        whole = m == 1 or n == 1  # one row or one column
         # the top row of the class minimum: the least row necklace
-        q = 0 if whole else min(oracles.necklace(p, n) for p in rows)
+        q = min(oracles.necklace(p, n) for p in rows)
         visits = visited_rows(rows, m, n, q)
         orbit = oracles.rows_orbit(rows, n)
-        assert len(visits) == (m * n if whole else sum(
+        assert len(visits) == (len(orbit) if whole else sum(
             len(oracles.least_rotation_offsets(p, n)) for p in rows
             if oracles.necklace(p, n) == q))
-        # the orbit members under top row q; for one row or blocks under
-        # a byte, the whole orbit
+        # the orbit members under top row q; for one row or one column,
+        # the whole orbit, each member once
         assert set(visits) == {r for r in orbit if whole or r[0] == q}
         if whole or rows[0] == q:
             # the identity comes first, and the pass leaves it out
@@ -179,22 +182,25 @@ class TestSieve:
 
     @pytest.mark.parametrize("m,n", SHAPES_UP_TO_20_CELLS)
     def test_kernel_marks_only_under_the_minimum_top_row(self, m, n):
-        # the rest of each class lies in later blocks, which their fills
-        # cover; only the whole-orbit shapes mark whole orbits
-        rows, columns, shift = necklace_moves(m, n)
-        whole = n * (m - 1) < 3
+        # the rest of each class holds a row whose necklace is below its
+        # top row, so the pass never reads it; one row and one column
+        # mark the other rotations of the m*n-bit row
+        if m == 1 or n == 1:
+            for w in iter_representative_indices(MatrixShape(m, n)):
+                rots = row_rotations(w, m * n)
+                assert rots[0] == w and min(rots) == w
+            return
+        rows, columns = necklace_moves(m, n)
+        shift = n * (m - 1)
         blocks = {}
         for w in iter_representative_indices(MatrixShape(m, n)):
             q = w >> shift
             if q not in blocks:
-                blocks[q] = block_moves(columns, q, n, 1 << (m * n - shift))
+                blocks[q] = block_moves(columns, q, n)
             moves = row_moves(w, rows, blocks[q], shift)
             words = [moved_word(w, move) for move in moves]
             assert words[0] == w  # the identity, which the pass leaves out
-            if whole:
-                assert len(words) == m * n
-            else:
-                assert {x >> shift for x in words} == {q}
+            assert {x >> shift for x in words} == {q}
             # the first m - 1 rows' moves depend on those rows alone, so
             # the pass finds them from the prefix, the last row zero
             assert row_moves(w >> n << n, rows[:-1], blocks[q], shift) == \
@@ -217,8 +223,8 @@ class TestSieve:
         # class of (0101, 0111) has two members under it, (0101, 0111)
         # and (0101, 1101); a block with only each row's first offset
         # leaves the second unmarked, to be listed as a class of its own
-        def first_only(moves, q, n, size):
-            return [row[:1] for row in block_moves(moves, q, n, size)]
+        def first_only(moves, q, n):
+            return [row[:1] for row in block_moves(moves, q, n)]
 
         monkeypatch.setattr(torus, "block_moves", first_only)
         got = list(iter_representative_indices(MatrixShape(2, 4)))
@@ -226,38 +232,48 @@ class TestSieve:
         assert 0b0101_1101 in got
 
     def test_one_column_is_passed_as_one_row(self, monkeypatch):
-        # the same words under the same rotation: 20x1 asks for the
-        # one-row constants of 1x20, not the 20-row ones of 20x1
+        # the same words under the same rotation: 20x1 and 1x20 both
+        # rotate each minimum as one 20-bit row, with no kernel constants
         asked = []
 
-        def recorded(m, n):
-            asked.append((m, n))
-            return necklace_moves(m, n)
+        def recorded(p, n):
+            asked.append((p, n))
+            return row_rotations(p, n)
 
-        monkeypatch.setattr(torus, "necklace_moves", recorded)
+        def refused(m, n):
+            raise AssertionError("the one-row pass needs no kernel")
+
+        monkeypatch.setattr(torus, "row_rotations", recorded)
+        monkeypatch.setattr(torus, "necklace_moves", refused)
         got = list(iter_representative_indices(MatrixShape(20, 1)))
-        assert asked == [(1, 20)]
+        assert asked == [(w, 20) for w in got]
+        asked.clear()
         assert got == list(iter_representative_indices(MatrixShape(1, 20)))
-        assert asked == [(1, 20)] * 2
+        assert asked == [(w, 20) for w in got]
 
     def test_pass_moves_past_a_word_the_kernel_missed(self, monkeypatch):
         # blocks with no moves, from which the kernel finds none, for
-        # the first rows or the last: the pass must still end, listing
-        # every code the fills leave, the words the filter tests
+        # the first rows or the last: the pass lists every candidate,
+        # the words the filter tests
         monkeypatch.setattr(torus, "block_moves",
-                            lambda moves, q, n, size: [()] * size)
+                            lambda moves, q, n: [()] * (1 << n))
         got = list(itertools.islice(
             iter_representative_indices(MatrixShape(2, 3)), 100))
         assert got == oracles.pruned_candidates(2, 3)
 
 
 class _Read(int):
-    """A byte read from a MarkLog: or-ing into it keeps the operand."""
+    """A byte read from a MarkLog: or-ing into it keeps the operand, and
+    and-ing it with a bit logs the code that bit tests."""
 
     def __or__(self, other):
         result = _Ored(int(self) | other)
         result.operand = other
         return result
+
+    def __and__(self, other):
+        self.log.reads.append((self.index << 3) | (other.bit_length() - 1))
+        return int(self) & other
 
 
 class _Ored(int):
@@ -265,22 +281,24 @@ class _Ored(int):
 
 
 class MarkLog:
-    """A visited store's bits that log each mark made into them.
+    """A visited store's bits that log each mark made into them, and
+    each code whose bit the pass tests.
 
     A mark is `bits[i] |= bit`: the read gives a _Read, or-ing the bit
     into it gives an _Ored that keeps the bit, and writing that back
-    logs the code 8 * i + log2(bit). The pass's own rereads are or-ed
-    but never written back, and fills write slices, so neither is
-    logged.
+    logs the code 8 * i + log2(bit). A test is `bits[i] & bit`, which
+    logs the same code as a read; a mark's own read is never and-ed.
     """
 
     def __init__(self, bits):
         self.bits = bits
         self.marks = []
+        self.reads = []
 
     def __getitem__(self, i):
-        value = self.bits[i]
-        return _Read(value) if isinstance(i, int) else value
+        value = _Read(self.bits[i])
+        value.log, value.index = self, i
+        return value
 
     def __setitem__(self, i, value):
         if isinstance(value, _Ored):
@@ -288,9 +306,9 @@ class MarkLog:
         self.bits[i] = value
 
 
-def marks_by_word(m, n, monkeypatch):
-    """Yield each word the pass lists with the marks it makes after
-    listing it, through a MarkLog on the pass's store."""
+def logged_stores(monkeypatch):
+    """Give each VisitedStore the pass makes a MarkLog, listed in the
+    list returned."""
     logs = []
 
     def logged_store(shape):
@@ -300,6 +318,13 @@ def marks_by_word(m, n, monkeypatch):
         return store
 
     monkeypatch.setattr(torus, "VisitedStore", logged_store)
+    return logs
+
+
+def marks_by_word(m, n, monkeypatch):
+    """Yield each word the pass lists with the marks it makes after
+    listing it, through a MarkLog on the pass's store."""
+    logs = logged_stores(monkeypatch)
     last = None
     for w in iter_representative_indices(MatrixShape(m, n)):
         if last is not None:
@@ -317,16 +342,19 @@ class TestMarks:
         # the marks after w: the orbit members under w's top row q, each
         # as often as the kernel reaches it, less the identity; so w
         # itself only by the other moves that fix it, and never if none
-        # does. All lie in w's block, at or ahead of the pass. One column
-        # is passed as one row, whose orbits are marked whole.
-        shift = necklace_moves(m, n)[2]
-        whole = n == 1 or n * (m - 1) < 3
+        # does. All lie in w's block, at or ahead of the pass. One row
+        # and one column mark each other member of the orbit once.
+        shift = n * (m - 1)
+        whole = m == 1 or n == 1
         for w, marks in marks_by_word(m, n, monkeypatch):
             rows = code_at_index(MatrixShape(m, n), w).rows
             orbit = oracles.rows_orbit(rows, n)
             under_q = {tuple_index(TupleCode(r, MatrixShape(m, n)))
                        for r in orbit if whole or r[0] == rows[0]}
-            assert marks.count(w) == m * n // len(orbit) - 1
+            if whole:
+                assert sorted(marks) == sorted(under_q - {w})
+            else:
+                assert marks.count(w) == m * n // len(orbit) - 1
             assert set(marks) | {w} == under_q
             assert min(marks, default=w) >= w
             assert whole or {x >> shift for x in marks} <= {w >> shift}
@@ -336,63 +364,14 @@ class TestMarks:
         assert sum(len(marks) for _, marks in
                    marks_by_word(4, 4, monkeypatch)) == 5399
 
-
-@st.composite
-def fill_cases(draw):
-    # blocks of 8 to 2^10 codes, the first levels narrower than a byte
-    # when n <= 2; chunks down to one byte write every level in place
-    n = draw(st.integers(1, 5))
-    m = draw(st.integers(1 - (-3 // n), 1 + 10 // n))  # 3 <= n*(m-1) <= 10
-    chunk = draw(st.sampled_from([1, 2, 8, 64, torus.FILL_CHUNK]))
-    return m, n, chunk
-
-
-class TestFillBlock:
-    @settings(max_examples=60, deadline=None)
-    @example((3, 2, 1))
-    @example((5, 2, 2))
-    @example((4, 1, 1))
-    @example((8, 2, 1))  # 2-bit rows, built up from under a byte, 5 above
-    @example((4, 3, 1))  # a one-row pattern, 2 levels above
-    @given(fill_cases())
-    def test_matches_necklace_oracle(self, case):
-        m, n, chunk = case
-        depth, top = m - 1, (1 << n) - 1
-        size = 1 << (n * depth)  # codes in a block, a whole number of bytes
-        necklaces = [oracles.necklace(p, n) for p in range(1 << n)]
-        for q in sorted(set(necklaces)):
-            low = sum(1 << p for p in range(1 << n) if necklaces[p] < q)
-            # the block between two others, which must stay untouched
-            store = bytearray(3 * size >> 3)
-            with mock.patch.object(torus, "FILL_CHUNK", chunk):
-                fill_block(store, size >> 3, depth, n, low)
-            want = sum(1 << c for c in range(size)
-                       if any(necklaces[(c >> (n * i)) & top] < q
-                              for i in range(depth)))
-            assert int.from_bytes(store, "little") == want << size, (q, low)
-
-    @pytest.mark.parametrize("m,n", [(5, 6), (13, 2)])
-    def test_temporaries_stay_under_the_chunk(self, m, n):
-        # a 2 MiB block, 512 chunks: a fill that built it whole would
-        # trace megabytes
-        chunk, depth = 1 << 12, m - 1
-        necklaces = sorted({oracles.necklace(p, n) for p in range(1 << n)})
-        q = necklaces[len(necklaces) // 2]
-        low = sum(1 << p for p in range(1 << n)
-                  if oracles.necklace(p, n) < q)
-        store = bytearray(1 << (n * depth - 3))
-        assert len(store) >= 256 * chunk
-        tracemalloc.start()
-        try:
-            with mock.patch.object(torus, "FILL_CHUNK", chunk):
-                fill_block(store, 0, depth, n, low)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * chunk, peak
-        unmarked = (1 << n) - bin(low).count("1")
-        assert (int.from_bytes(store, "little").bit_count()
-                == (1 << (n * depth)) - unmarked ** depth)
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (2, 4), (3, 4), (4, 4)])
+    def test_reads_exactly_the_candidates(self, m, n, monkeypatch):
+        # one test per candidate, ascending, none twice, and no other
+        # code: the words whose rows' necklaces are all at least the
+        # necklace top row
+        logs = logged_stores(monkeypatch)
+        list(iter_representative_indices(MatrixShape(m, n)))
+        assert logs[0].reads == oracles.pruned_candidates(m, n)
 
 
 class TestEnumerateTorus:
