@@ -22,8 +22,19 @@ w's, every word under the prefix is beaten and its whole subtree is
 skipped; where it is above, the move is dropped; where it ties, the
 move stays open. So on the last row each open move costs one row
 compare, and only a tie, where the wrapped rows rot_j(p_0 .. p_(i - 1))
-decide, and the last row's own moves compare the whole moved word with
-w.
+decide, compares the whole moved word with w. The last row's own moves,
+which only a rotation of r0 opens, put r0 on top and r0 itself, turned
+as the last row is into r0, second: they too cost one compare, with w's
+second row, and the whole word only on a tie.
+
+The count needs no words. Where a last-row frame, a prefix of rows
+0..m-2, has no open move, every last row whose necklace is above r0
+opens none either and gives a canonical word. There are above(r0) of
+them, the sum of the periods of the necklaces above r0, found once per
+call; so the frame is counted by that sum, and its walk is r0's own
+rotations alone. The frames with an open move are walked whole. The
+stream and the count read the same frames of one odometer and settle
+them by the same loop.
 
 One row, and one column (the same words under the same rotation), is
 answered apart: its canonical words are the necklaces, listed directly.
@@ -90,17 +101,19 @@ def _rows_under(r0, row, top):
          for p in range(r0, top + 1) if (entry := row(p))[0] >= r0), 1)[0]
 
 
-def iter_canonical_indices(shape):
-    """Linearized indices of canonical codes, ascending: exactly the
-    sieve's representative sequence."""
-    m, n = shape.m, shape.n
-    if m == 1 or n == 1:  # one column: the same words and rotation as a row
-        yield from _necklaces(m * n)
-        return
-    full = (1 << shape.cells) - 1
+def _walk(m, n):
+    """The filter's walk of an m x n shape, m, n >= 2: its row memo, its
+    last-row frames, and the generator that settles frames' last rows
+    into canonical words.
+
+    Each frame is (prefix, moves, walk): a prefix of rows 0..m-2, shifted
+    for the last row, that no move beats, its open moves and the walk of
+    the rows under it.
+    """
+    full = (1 << (m * n)) - 1
     top = (1 << n) - 1
     row_low = full // top  # the lowest bit of each row: a geometric sum
-    last = m - 1
+    last, shift, second = m - 1, n * (m - 1), n * (m - 2)
 
     # each row's necklace and offsets, found once per call
     row = functools.cache(lambda p: _least_rotation(p, n))
@@ -122,20 +135,25 @@ def iter_canonical_indices(shape):
                 return True
         return False
 
-    for r0 in _necklaces(n):
-        # an odometer, not recursion, so tall shapes keep a flat stack:
-        # each entry holds a word of rows 0..d, shifted for row d + 1,
-        # its open moves (j, n*i), each of which, row i on top and
-        # right-rotated by j, ties the word on every row so far, and the
-        # walk that yields row d + 1 under it. Row 0's offsets, less the
-        # identity, open the first; each row pushed opens its own, which
-        # put r0 on top.
-        rows = _rows_under(r0, row, top)
-        # __copy__(): copy.copy(rows) costs a dispatch, tee(rows) advances it
-        stack = [(r0 << n, [(j, 0) for j in row(r0)[1][1:]], rows.__copy__())]
-        while stack:
-            prefix, moves, walk = stack[-1]
-            if len(stack) < last:
+    def frames():
+        for r0 in _necklaces(n):
+            # an odometer, not recursion, so tall shapes keep a flat
+            # stack: each entry holds a word of rows 0..d, shifted for
+            # row d + 1, its open moves (j, n*i), each of which, row i on
+            # top and right-rotated by j, ties the word on every row so
+            # far, and the walk that yields row d + 1 under it. Row 0's
+            # offsets, less the identity, open the first; each row pushed
+            # opens its own, which put r0 on top.
+            rows = _rows_under(r0, row, top)
+            # __copy__(): copy.copy(rows) costs a dispatch, tee(rows)
+            # advances it
+            stack = [(r0 << n, [(j, 0) for j in row(r0)[1][1:]],
+                      rows.__copy__())]
+            while stack:
+                if len(stack) == last:
+                    yield stack.pop()
+                    continue
+                prefix, moves, walk = stack[-1]
                 # the new row is each open move's next moved row: below
                 # the word's, it beats every word under the new prefix,
                 # whose subtree is skipped; above it, the move is dropped
@@ -155,11 +173,16 @@ def iter_canonical_indices(shape):
                         break
                 else:
                     stack.pop()
-                continue
-            # the last row settles each open move by one row compare,
-            # with row m - 1 - i (the candidate row itself when i = 0),
-            # unless it ties: then the wrapped rows decide, and the whole
-            # moved word is compared, as for the last row's own moves
+
+    def settle(frames):
+        # the last row settles each open move by one row compare, with
+        # row m - 1 - i (the candidate row itself when i = 0), unless it
+        # ties: then the wrapped rows decide, and the whole moved word is
+        # compared. The last row's own moves, which a rotation of r0
+        # opens, put r0 on top and r0 turned by them second: that row is
+        # compared with w's second row, and a tie compares the whole word
+        for prefix, moves, walk in frames:
+            r0 = prefix >> shift
             for p, offsets in walk:
                 w = prefix | p
                 for j, s in moves:
@@ -168,6 +191,55 @@ def iter_canonical_indices(shape):
                     if x < y or x == y and beaten(w, s // n, (j,)):
                         break
                 else:
-                    if not offsets or not beaten(w, last, offsets):
-                        yield w
-            stack.pop()
+                    if offsets:
+                        j = offsets[0]
+                        x = ((r0 >> j) | (r0 << (n - j))) & top
+                        y = (w >> second) & top
+                        if x < y or x == y and beaten(w, last, offsets):
+                            continue
+                    yield w
+
+    return row, frames(), settle
+
+
+def iter_canonical_indices(shape):
+    """Linearized indices of canonical codes, ascending: exactly the
+    sieve's representative sequence."""
+    m, n = shape.m, shape.n
+    if m == 1 or n == 1:  # one column: the same words and rotation as a row
+        return _necklaces(m * n)
+    _, frames, settle = _walk(m, n)
+    return settle(frames)
+
+
+def count_canonical(shape):
+    """The number of canonical words, which iter_canonical_indices lists:
+    the class count, found without listing the words."""
+    m, n = shape.m, shape.n
+    if m == 1 or n == 1:
+        return sum(1 for _ in _necklaces(m * n))
+    row, frames, settle = _walk(m, n)
+    top, shift = (1 << n) - 1, n * (m - 1)
+    # per necklace r0: above(r0), the rows whose necklace is above r0,
+    # and the walk of r0's distinct rotations, each with its offsets
+    closing, rows = {}, 0
+    for r0 in reversed(list(_necklaces(n))):
+        period = n // len(row(r0)[1])
+        turns = [(p, row(p)[1]) for p in (
+            ((r0 << j) | (r0 >> (n - j))) & top for j in range(period))]
+        closing[r0] = rows, turns
+        rows += period
+    closed = 0
+
+    def closing_frames():
+        # a frame with no open move walks r0's rotations alone, and the
+        # rows above r0, each a canonical word, are counted here
+        nonlocal closed
+        for prefix, moves, walk in frames:
+            if not moves:
+                above, walk = closing[prefix >> shift]
+                closed += above
+            yield prefix, moves, walk
+
+    listed = sum(1 for _ in settle(closing_frames()))
+    return listed + closed

@@ -13,7 +13,7 @@ import stat
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 
-from .canonical import iter_canonical_indices
+from .canonical import count_canonical, iter_canonical_indices
 from .codec import MatrixShape
 from .counting import A179043, count_burnside
 from .errors import CapacityError
@@ -168,8 +168,11 @@ def cmd_count(args):
     shape = MatrixShape(args.m, args.n)
     if args.method == "burnside":
         value = count_burnside(shape).value
-    else:
-        value = sum(1 for _ in _representative_indices(shape, args.method))
+    elif args.method == "sieve":
+        value = sum(1 for _ in _representative_indices(shape, "sieve"))
+    else:  # the filter counts its words without listing them
+        check_exhaustive(shape)
+        value = count_canonical(shape)
     print(_decimal(value))
     return EXIT_OK
 

@@ -1,4 +1,5 @@
 import ast
+import collections
 import functools
 import itertools
 import random
@@ -10,6 +11,7 @@ from torus_orbits import (
     MatrixShape,
     TupleCode,
     code_at_index,
+    count_burnside,
     iter_canonical_indices,
     iter_representative_indices,
     tuple_index,
@@ -127,6 +129,44 @@ class TestStream:
             sieve_words(m, n)
 
 
+class TestCount:
+    """The count that settles a last-row frame with no open move by one
+    sum, against the word stream it skips and against Burnside."""
+
+    @pytest.mark.parametrize("m,n", SHAPES_UP_TO_20_CELLS + [
+        (4, 6), (6, 4), (3, 8), (8, 3), (2, 12), (12, 2), (1, 24), (24, 1)])
+    def test_agrees_with_stream_and_burnside(self, m, n):
+        shape = MatrixShape(m, n)
+        count = canonical.count_canonical(shape)
+        assert count == sum(1 for _ in iter_canonical_indices(shape))
+        assert count == count_burnside(shape).value
+
+    def test_walks_only_frames_with_open_moves(self, monkeypatch):
+        # the rows each last-row walk yields, by whether its frame has an
+        # open move; the count and the stream read the same frames
+        pulled = collections.Counter()
+        real = canonical._walk
+
+        def counted(walk, opened):
+            for entry in walk:
+                pulled[opened] += 1
+                yield entry
+
+        def recording(m, n):
+            row, frames, settle = real(m, n)
+            return row, (
+                (prefix, moves, counted(walk, bool(moves)))
+                for prefix, moves, walk in frames), settle
+
+        monkeypatch.setattr(canonical, "_walk", recording)
+        shape = MatrixShape(4, 6)
+        assert canonical.count_canonical(shape) == 699600
+        assert pulled == {True: 91259}
+        pulled.clear()
+        assert sum(1 for _ in iter_canonical_indices(shape)) == 699600
+        assert pulled == {True: 91259, False: 713732}
+
+
 class TestNecklaces:
     """The FKM walk that lists one-row and one-column shapes, against the
     brute-force necklace oracle."""
@@ -165,6 +205,11 @@ class TestLeastRotation:
         monkeypatch.setattr(canonical, "_least_rotation", counting)
         assert list(iter_canonical_indices(MatrixShape(m, n))) == \
             sieve_words(m, n)
+        assert sorted(rows) == list(range(1 << n))
+        # and so does the count, whose per-necklace sums read the memo
+        rows.clear()
+        assert canonical.count_canonical(MatrixShape(m, n)) == \
+            len(sieve_words(m, n))
         assert sorted(rows) == list(range(1 << n))
 
 
